@@ -15,6 +15,22 @@ let chain_instance n m chains =
   let dag = Suu_dag.Gen.chains (Rng.create 17) ~n ~chains in
   uniform_instance (master_seed + 124) ~n ~m ~lo:0.1 ~hi:0.9 dag
 
+let range_adaptive_row = "200 MC trials range adaptive (n=64 m=16)"
+let seeded_row = "200 MC trials seeded adaptive, observer off (n=64 m=16)"
+let seeded_oblivious_row = "200 MC trials seeded oblivious (n=64 m=16)"
+let naive_adaptive_row = "200 naive stepper runs adaptive (n=64 m=16)"
+let naive_oblivious_row = "200 naive stepper runs oblivious (n=64 m=16)"
+
+(* The 200 trials of a seed-3 estimate, one [Engine.run] each: the
+   naive-stepper oracle the word kernel is gated against. *)
+let naive_runs inst policy () =
+  for k = 0 to 199 do
+    ignore
+      (Suu_sim.Engine.run (Rng.create (Suu_sim.Engine.trial_seed 3 k)) inst
+         policy
+        : Suu_sim.Engine.outcome)
+  done
+
 let tests () =
   let inst64 = indep_instance 64 16 in
   let jobs64 = Array.make 64 true in
@@ -25,9 +41,9 @@ let tests () =
   let pseudos = Suu_algo.Rounding.chain_pseudos chain_inst integral in
   let big_tree = Suu_dag.Gen.binary_out_tree ~n:1023 in
   let policy = Suu_algo.Suu_i.policy inst64 in
-  (* Oblivious regimen on the same instance: exercises the engine's
-     geometric-leapfrog fast path (the adaptive policy above exercises
-     the naive stepper). *)
+  (* Oblivious regimen on the same instance: exercises the kernel's
+     column mode (the adaptive policy above exercises its greedy
+     mode). *)
   let obl_policy = Suu_algo.Suu_i_obl.policy inst64 in
   let tiny = indep_instance 8 2 in
   [
@@ -52,11 +68,10 @@ let tests () =
            Suu_sim.Engine.run (Rng.create 5) inst64 policy));
     Test.make ~name:"malewicz dp n=8 m=2"
       (Staged.stage (fun () -> Suu_algo.Malewicz.optimal_value tiny));
-    (* The two [estimate_makespan] rows now route through the vectorized
-       Lanes kernel (63 trials per word); the scalar rows below them run
-       the same 200 trials through the per-trial paths, so the
-       vector-vs-scalar ratio is visible in every PERF table (and gated:
-       PERF-GATE fails below 4x). *)
+    (* Every estimator is one fold over 63-trial Lanes words; the naive
+       rows run the same 200 trials through the stepper oracle
+       ([Engine.run]), so the kernel-vs-stepper ratio is visible in every
+       PERF table (and gated: PERF-GATE fails below 4x). *)
     Test.make ~name:"200 MC trials sequential (n=64 m=16)"
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan ~trials:200 (Rng.create 3) inst64
@@ -65,26 +80,29 @@ let tests () =
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan ~trials:200 (Rng.create 3) inst64
              policy));
-    Test.make ~name:"200 MC trials scalar range adaptive (n=64 m=16)"
+    Test.make ~name:range_adaptive_row
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_range ~seed:3 ~lo:0 ~hi:200 inst64
              policy));
-    Test.make ~name:"200 MC trials scalar seeded oblivious (n=64 m=16)"
+    Test.make ~name:seeded_oblivious_row
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
              obl_policy));
     (* Matched pair for the observability gate: the seeded estimator
-       carries the ?observer seam and the engine counters; left disabled
-       it must price the same as the scalar range row above, which runs
-       the identical per-trial stepper without the seam (PERF-GATE
-       asserts the ratio). *)
-    Test.make ~name:"200 MC trials seeded adaptive, observer off (n=64 m=16)"
+       carries the ?observer seam; left disabled it must price the same
+       as the range row above, which runs the identical word fold without
+       the seam (PERF-GATE asserts the ratio). *)
+    Test.make ~name:seeded_row
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
              policy));
+    Test.make ~name:naive_adaptive_row
+      (Staged.stage (naive_runs inst64 policy));
+    Test.make ~name:naive_oblivious_row
+      (Staged.stage (naive_runs inst64 obl_policy));
     Test.make ~name:"200 MC trials on 4 domains (n=64 m=16)"
       (Staged.stage (fun () ->
-           Suu_sim.Engine.estimate_makespan_parallel ~domains:4 ~trials:200
+           Suu_sim.Engine.estimate_makespan_seeded ~domains:4 ~trials:200
              ~seed:3 inst64 policy));
     Test.make ~name:"jobshop derandomized delays 16x48"
       (Staged.stage
@@ -244,20 +262,15 @@ let run () =
    recorded rows as an extra round, so the uploaded artifact is itself
    gated. Exits nonzero on failure so the CI perf-smoke job turns red.
 
-   1. Observer seam: the seeded adaptive row carries the ?observer seam
-      and the engine counters; with no observer armed it must price
-      within SUU_PERF_GATE_PCT (default 2%) of the scalar range row,
-      which runs the identical per-trial stepper without the seam.
-   2. Vectorized kernel: the trial-batched [estimate_makespan] rows
-      (adaptive greedy and oblivious) must beat their scalar per-trial
-      counterparts by at least SUU_PERF_VECTOR_GATE x (default 4; the
-      measured margin is well above — see EXPERIMENTS.md). *)
+   1. Observer seam: the seeded adaptive row carries the ?observer seam;
+      with no observer armed it must price within SUU_PERF_GATE_PCT
+      (default 2%) of the range row, which runs the identical word fold
+      without the seam.
+   2. Vectorized kernel: the 200-trial seeded rows (adaptive greedy and
+      oblivious, both through the Lanes kernel) must beat 200 naive
+      stepper runs of the same instance and policy by at least
+      SUU_PERF_VECTOR_GATE x (default 4). *)
 
-let scalar_adaptive_row = "200 MC trials scalar range adaptive (n=64 m=16)"
-let seeded_row = "200 MC trials seeded adaptive, observer off (n=64 m=16)"
-let vector_adaptive_row = "200 MC trials sequential adaptive (n=64 m=16)"
-let vector_oblivious_row = "200 MC trials sequential (n=64 m=16)"
-let scalar_oblivious_row = "200 MC trials scalar seeded oblivious (n=64 m=16)"
 
 (* The recorded ns/run for each named row of a prior perf run's JSON
    artifact, when one is readable. *)
@@ -328,7 +341,7 @@ let gate () =
     ns
   in
   let measure = function
-    | row when String.equal row scalar_adaptive_row ->
+    | row when String.equal row range_adaptive_row ->
         time row (fun () ->
             Suu_sim.Engine.estimate_makespan_range ~seed:3 ~lo:0 ~hi:200 inst64
               policy)
@@ -336,26 +349,22 @@ let gate () =
         time row (fun () ->
             Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
               policy)
-    | row when String.equal row vector_adaptive_row ->
-        time row (fun () ->
-            Suu_sim.Engine.estimate_makespan ~trials:200 (Rng.create 3) inst64
-              policy)
-    | row when String.equal row vector_oblivious_row ->
-        time row (fun () ->
-            Suu_sim.Engine.estimate_makespan ~trials:200 (Rng.create 3) inst64
-              obl_policy)
-    | row when String.equal row scalar_oblivious_row ->
+    | row when String.equal row seeded_oblivious_row ->
         time row (fun () ->
             Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
               obl_policy)
+    | row when String.equal row naive_adaptive_row ->
+        time row (naive_runs inst64 policy)
+    | row when String.equal row naive_oblivious_row ->
+        time row (naive_runs inst64 obl_policy)
     | row -> invalid_arg ("perf-gate: unknown row " ^ row)
   in
   let failures = ref 0 in
-  (* 1. Observer seam: seeded/scalar-range overhead within budget. *)
-  section "PERF-GATE: observer seam (disabled) vs scalar adaptive MC loop";
+  (* 1. Observer seam: seeded/range overhead within budget. *)
+  section "PERF-GATE: observer seam (disabled) vs the bare word fold";
   let pct = env_float "SUU_PERF_GATE_PCT" 2. in
   let rounds =
-    gate_rounds ~measure ~num_row:seeded_row ~den_row:scalar_adaptive_row
+    gate_rounds ~measure ~num_row:seeded_row ~den_row:range_adaptive_row
   in
   List.iter
     (fun (label, r) ->
@@ -370,7 +379,7 @@ let gate () =
       "perf-gate: FAIL — disabled-observer overhead %+.2f%% exceeds %.1f%% on \
        %S\n"
       ((best -. 1.) *. 100.)
-      pct scalar_adaptive_row;
+      pct range_adaptive_row;
     incr failures
   end
   else
@@ -378,16 +387,16 @@ let gate () =
       "perf-gate: ok — disabled-observer overhead %+.2f%% (budget %.1f%%)\n"
       ((best -. 1.) *. 100.)
       pct;
-  (* 2. Vectorized kernel: scalar/vector speedup at least the floor,
-     for both kernels. *)
+  (* 2. Vectorized kernel: naive/word speedup at least the floor, for
+     both kernel modes. *)
   let floor = env_float "SUU_PERF_VECTOR_GATE" 4. in
   List.iter
-    (fun (what, scalar_row, vector_row) ->
+    (fun (what, naive_row, vector_row) ->
       section
-        (Printf.sprintf "PERF-GATE: vectorized %s kernel vs scalar (want \
-                         >= %.1fx)" what floor);
+        (Printf.sprintf "PERF-GATE: vectorized %s kernel vs naive stepper \
+                         (want >= %.1fx)" what floor);
       let rounds =
-        gate_rounds ~measure ~num_row:scalar_row ~den_row:vector_row
+        gate_rounds ~measure ~num_row:naive_row ~den_row:vector_row
       in
       List.iter
         (fun (label, r) -> Printf.printf "  %-16s speedup %.1fx\n" label r)
@@ -399,7 +408,7 @@ let gate () =
         Printf.printf
           "perf-gate: FAIL — vectorized %s speedup %.1fx below the %.1fx \
            floor (%S vs %S)\n"
-          what best_speedup floor vector_row scalar_row;
+          what best_speedup floor vector_row naive_row;
         incr failures
       end
       else
@@ -407,7 +416,7 @@ let gate () =
                        %.1fx)\n"
           what best_speedup floor)
     [
-      ("adaptive", scalar_adaptive_row, vector_adaptive_row);
-      ("oblivious", scalar_oblivious_row, vector_oblivious_row);
+      ("adaptive", naive_adaptive_row, seeded_row);
+      ("oblivious", naive_oblivious_row, seeded_oblivious_row);
     ];
   if !failures > 0 then exit 1

@@ -562,7 +562,10 @@ let coordinator_cmd =
     Arg.(value & opt int 64 & info [ "split-threshold" ] ~docv:"T" ~doc)
   in
   let chunk_arg =
-    let doc = "Trials per sub-job (0 = about four chunks per shard)." in
+    let doc =
+      "Trials per sub-job: a multiple of 63, the Monte-Carlo word (0 = \
+       about four chunks per shard)."
+    in
     Arg.(value & opt int 0 & info [ "chunk" ] ~docv:"K" ~doc)
   in
   let sub_inflight_arg =
@@ -661,6 +664,14 @@ let coordinator_cmd =
         Printf.eprintf "suu coordinator: --ci-target must be > 0\n";
         exit 2
     | _ -> ());
+    let word = Suu_sim.Lanes.lanes_per_word in
+    if chunk > 0 && chunk mod word <> 0 then begin
+      Printf.eprintf
+        "suu coordinator: --chunk must be a multiple of %d (sub-jobs are \
+         whole Monte-Carlo words)\n"
+        word;
+      exit 2
+    end;
     let module Coordinator = Suu_shard.Coordinator in
     let module Fault = Suu_service.Fault in
     let default_seed =
@@ -867,7 +878,9 @@ let trace_cmd =
        ~doc:
          "Capture per-step execution traces of sampled Monte-Carlo trials \
           and render them as Chrome trace-event JSON plus a per-job \
-          mass-vs-time CSV")
+          mass-vs-time CSV. A captured trial k is a naive-stepper replay \
+          of (seed, k): distribution-equivalent to the trial behind the \
+          printed mean, not a copy of it")
     term
 
 let check_cmd =

@@ -1,18 +1,6 @@
 module Instance = Suu_core.Instance
 module Assignment = Suu_core.Assignment
 
-(* The greedy processing order — pairs by non-increasing p_ij, ties by
-   machine then job — is precomputed once per instance and cached there
-   (Instance.sorted_pairs); this wrapper only survives as a list view
-   for tests and callers that want the filtered pair list itself. *)
-let sorted_pairs inst ~jobs =
-  let ps, ms, js = Instance.sorted_pairs inst in
-  let acc = ref [] in
-  for k = Array.length ps - 1 downto 0 do
-    if jobs.(js.(k)) then acc := (ps.(k), ms.(k), js.(k)) :: !acc
-  done;
-  !acc
-
 (* Core greedy scan, writing into caller-provided scratch: [a] receives
    the assignment, [mass] the accumulated per-job mass. O(nm) per call —
    one pass over the cached sorted pairs, no allocation. *)

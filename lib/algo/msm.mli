@@ -7,14 +7,6 @@
     mass would stay ≤ 1; Theorem 3.2 proves the result is within a factor
     1/3 of optimal (the problem itself is NP-hard). *)
 
-val sorted_pairs :
-  Suu_core.Instance.t -> jobs:bool array -> (float * int * int) list
-(** The positive-probability [(p_ij, i, j)] pairs over the flagged jobs in
-    the greedy processing order: non-increasing [p_ij], ties by machine
-    then job. A filtered list view of the order cached in
-    {!Suu_core.Instance.sorted_pairs}; hot paths scan the cached arrays
-    directly instead. *)
-
 val assign :
   Suu_core.Instance.t -> jobs:bool array -> Suu_core.Assignment.t
 (** One-step assignment over the jobs with [jobs.(j) = true] (the

@@ -367,15 +367,16 @@ let exact_vs_mc =
                 mean exact tol trials
             else Pass)
 
-(* --- 9. leapfrog vs naive stepper ---------------------------------- *)
+(* --- 9. word kernel (column mode) vs naive stepper ------------------ *)
 
 let leapfrog_vs_naive =
   Property.make ~name:"leapfrog-vs-naive"
     ~sizes:{ Gen.small with max_jobs = 5; min_prob = 0.15 }
     ~doc:
-      "on a random oblivious schedule, both the geometric leapfrog sampler \
-       and the naive unit stepper match the exact makespan CDF uniformly \
-       (DKW at confidence 1 − 1e-9)"
+      "on a random oblivious schedule, both the word kernel's column mode \
+       (geometric leapfrog skips over the schedule) and the naive unit \
+       stepper match the exact makespan CDF uniformly (DKW at confidence \
+       1 − 1e-9)"
     (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
@@ -458,24 +459,32 @@ let lanes_vs_exact =
 
 (* --- 10. parallel estimator identity ------------------------------- *)
 
+(* The three policy shapes of the word-seeded contract: the Lanes
+   kernel's greedy and column modes, and an untagged policy the naive
+   stepper serves lane by lane. *)
+let contract_policy case inst =
+  match case.Case.aux_seed mod 3 with
+  | 0 -> Suu_i.policy inst
+  | 1 -> Policy.of_oblivious "suu-i-obl" (Suu_i_obl.schedule inst)
+  | _ -> Policy.make "suu-i-untagged" (Suu_i.policy inst).Policy.fresh
+
+let word = Suu_sim.Lanes.lanes_per_word
+
 let parallel_vs_seeded =
   Property.make ~name:"parallel-vs-seeded"
     ~sizes:{ Gen.default with min_prob = 0.05 }
     ~doc:
-      "the multicore estimator is bit-identical to the sequential seeded \
-       one (and the seeded one to itself) for adaptive and oblivious \
-       policies alike" (fun case ->
+      "the word fold spread over 3 domains is bit-identical to the \
+       sequential seeded estimate (and the seeded one to itself) for \
+       adaptive, oblivious and untagged policies alike" (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
-      let policy =
-        if case.Case.aux_seed mod 2 = 0 then Suu_i.policy inst
-        else Policy.of_oblivious "suu-i-obl" (Suu_i_obl.schedule inst)
-      in
+      let policy = contract_policy case inst in
       let seed = Rng.int rng 1_000_000 in
-      let trials = 48 in
+      let trials = (2 * word) + 1 + Rng.int rng word in
       let a = Engine.estimate_makespan_seeded ~trials ~seed inst policy in
       let b =
-        Engine.estimate_makespan_parallel ~domains:3 ~trials ~seed inst policy
+        Engine.estimate_makespan_seeded ~domains:3 ~trials ~seed inst policy
       in
       let c = Engine.estimate_makespan_seeded ~trials ~seed inst policy in
       let bits e = Array.map Int64.bits_of_float e.Engine.samples in
@@ -688,20 +697,19 @@ let split_merge =
   Property.make ~name:"split-merge"
     ~sizes:{ Gen.default with min_prob = 0.05 }
     ~doc:
-      "a seeded estimate split into trial ranges and merged \
-       (estimate_makespan_range + merge_ranges — the sharding \
+      "a seeded estimate split at a word boundary into trial ranges and \
+       merged (estimate_makespan_range + merge_ranges — the sharding \
        coordinator's fan-out) is bit-identical to the unsplit run: \
-       samples, incomplete count, mean and ci95 all match for adaptive \
-       and oblivious policies alike, at any split point" (fun case ->
+       samples, incomplete count, mean and ci95 all match for adaptive, \
+       oblivious and untagged policies alike, at any word-aligned split \
+       point; a range whose lo is not word-aligned is rejected" (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
-      let policy =
-        if case.Case.aux_seed mod 2 = 0 then Suu_i.policy inst
-        else Policy.of_oblivious "suu-i-obl" (Suu_i_obl.schedule inst)
-      in
+      let policy = contract_policy case inst in
       let seed = Rng.int rng 1_000_000 in
-      let trials = 32 in
-      let k = 1 + Rng.int rng (trials - 1) in
+      let trials = (2 * word) + Rng.int rng (2 * word) in
+      let words = (trials + word - 1) / word in
+      let k = word * (1 + Rng.int rng (words - 1)) in
       let full = Engine.estimate_makespan_seeded ~trials ~seed inst policy in
       let max_steps = Engine.default_horizon inst in
       let lo_part = Engine.estimate_makespan_range ~seed ~lo:0 ~hi:k inst policy in
@@ -710,7 +718,16 @@ let split_merge =
       in
       let merged = Engine.merge_ranges ~max_steps [ lo_part; hi_part ] in
       let bits e = Array.map Int64.bits_of_float e.Engine.samples in
-      if bits merged <> bits full then
+      let unaligned = k - 1 - Rng.int rng (word - 1) in
+      if
+        match
+          Engine.estimate_makespan_range ~seed ~lo:unaligned ~hi:trials inst
+            policy
+        with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      then failf "unaligned range lo=%d was accepted" unaligned
+      else if bits merged <> bits full then
         failf "merged samples differ from the unsplit run (split at %d)" k
       else if merged.Engine.incomplete <> full.Engine.incomplete then
         Fail "merged incomplete count differs from the unsplit run"
@@ -781,13 +798,14 @@ let shard_heal =
       in
       let lines =
         [
-          solve ~trials:24 ~seed:3 "a";
-          (* above the split threshold: exercises sub-job re-dispatch *)
+          solve ~trials:100 ~seed:3 "a";
+          (* above the split threshold: two sub-jobs (one whole word and
+             a partial one) exercise sub-job re-dispatch *)
           solve ~trials:8 ~seed:1 "b";
-          solve ~trials:24 ~seed:3 "a2";
+          solve ~trials:100 ~seed:3 "a2";
           (* repeat of a: a shard cache hit, scrubbed below *)
           solve ~trials:8 ~seed:2 "c";
-          solve ~trials:24 ~seed:9 "d";
+          solve ~trials:100 ~seed:9 "d";
           solve ~trials:8 ~seed:4 "e";
         ]
       in
@@ -808,7 +826,7 @@ let shard_heal =
           Coordinator.default_config with
           Coordinator.shards = 2;
           split_threshold = 16;
-          chunk_trials = 12;
+          chunk_trials = Suu_sim.Lanes.lanes_per_word;
           sub_inflight = 2;
           retries = 12;
           retry_backoff_ms = 0.1;
@@ -1101,7 +1119,7 @@ let churn_mask =
       "executing a random oblivious schedule under a churn timeline agrees \
        with the exact makespan CDF of the Churn.mask'ed schedule uniformly \
        (DKW at confidence 1 − 1e-9), on both the gated naive stepper and \
-       the estimators' masked leapfrog/vectorized fast path"
+       the estimators' masked vectorized fast path"
     (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
@@ -1134,8 +1152,8 @@ let churn_mask =
       match check "gated stepper" naive 1200 with
       | Some msg -> Fail msg
       | None -> (
-          (* Tagged policy: the estimators mask the schedule at compile
-             time and serve it at full leapfrog/vectorized speed. *)
+          (* Tagged policy: the kernel masks the schedule at compile
+             time and serves it at full vectorized speed. *)
           match check "masked fast path" (Policy.of_oblivious "churn-obl" sched) 1200 with
           | Some msg -> Fail msg
           | None -> Pass))

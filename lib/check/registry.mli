@@ -3,7 +3,7 @@
     Every paper guarantee the codebase claims — MSM-ALG's 1/3 bound
     (Theorem 3.2), MSM-E-ALG's 1/3 bound (Lemma 3.4), the mass
     accumulation of Algorithm 2 (Lemma 3.5) with Proposition 2.1's
-    sandwich, exact-chain/Monte-Carlo agreement, leapfrog/naive
+    sandwich, exact-chain/Monte-Carlo agreement, word-kernel/naive
     distribution equivalence — plus structural invariants (typed
     validation, tie-break determinism, relabeling invariance of optima,
     monotonicity of TOPT in p, serialisation round-trips, parallel

@@ -29,10 +29,11 @@ type greedy = {
 (** Structural knowledge about a policy, used by the simulation engine to
     pick specialised execution paths. [Oblivious_schedule] tags a policy
     whose every decision is a fixed function of the step number alone —
-    the engine's estimators then skip unit-step Bernoulli simulation in
-    favour of geometric leapfrogging over the schedule. [Greedy_pairs]
-    tags a greedy pair-scan regimen, the engine's licence for the
-    trial-batched vectorized kernel. [General] promises nothing. *)
+    the engine's estimators then run its column mode of the
+    trial-batched kernel, skipping unit-step simulation in favour of
+    geometric leapfrogging over the schedule. [Greedy_pairs] tags a
+    greedy pair-scan regimen, the kernel's greedy mode. [General]
+    promises nothing: the estimators run the naive stepper. *)
 type structure =
   | Oblivious_schedule of Oblivious.t
   | Greedy_pairs of greedy
@@ -62,7 +63,7 @@ val of_oblivious : string -> Oblivious.t -> t
 (** The policy that plays an oblivious schedule: machines assigned to
     finished or ineligible jobs idle (Definition 2.1 semantics, enforced by
     the engine anyway). The schedule is recorded in [structure], which
-    lets the engine's estimators take the event-driven leapfrog path. *)
+    lets the engine's estimators take the vectorized column path. *)
 
 val of_greedy_pairs :
   string ->
@@ -87,7 +88,7 @@ val stateless : string -> (state -> Assignment.t) -> t
 
 val oblivious : t -> Oblivious.t option
 (** The schedule a policy is known to play obliviously, if any — the
-    engine's licence for the leapfrog fast path. *)
+    engine's licence for the vectorized column path. *)
 
 val greedy : t -> greedy option
 (** The greedy pair-scan a policy is known to play, if any — the engine's

@@ -2,8 +2,8 @@
     fraction of Monte-Carlo trials.
 
     The engine drives this through an [observer] seam: when a trial's
-    index is selected by [sample_every], the engine replays or records
-    that trial step-by-step and hands the result to [emit]. Everything
+    index is selected by [sample_every], the engine replays that trial
+    step by step on its naive stepper and hands the result to [emit]. Everything
     here is in terms of plain ints — job [j] of [jobs], machine [i] of
     [machines] — so [lib/obs] stays free of engine types; probabilities
     enter only through a [prob] callback when mass is derived.
@@ -25,7 +25,7 @@ type step = {
 
 type trial = {
   index : int;  (** trial number within the estimator call *)
-  seed : int;  (** the per-trial seed the engine derived *)
+  seed : int;  (** the seed of the replay, derived from the master seed and [index] *)
   makespan : int;  (** steps to completion ([max_steps] if truncated) *)
   truncated : bool;
   steps : step list;  (** chronological; at most [limit] of them *)
@@ -48,8 +48,8 @@ val selects : observer -> int -> bool
 val collector : ?sample_every:int -> ?limit:int -> unit -> observer * (unit -> trial list)
 (** An observer that accumulates trials in memory, and a function
     returning them in emission order. Single-domain use only (the
-    engine's sequential estimators emit in order; the parallel estimator
-    does not take an observer). *)
+    engine emits from the calling domain, in trial order, after the
+    estimate completes). *)
 
 val mass_trajectory :
   prob:(machine:int -> job:int -> float) -> jobs:int -> trial -> (int * float array) list

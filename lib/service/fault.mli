@@ -26,9 +26,9 @@
     - [Transient]: request execution raises [Transient_failure] — a
       retryable fault class (think a flaky backend), exercising the
       retry/backoff policy. Keyed by {!attempt_key} (seq, attempt).
-    - [Stall]: the first Monte-Carlo trial of an estimate sleeps
-      [stall_ms] (a wedged trial), exercising deadline enforcement
-      mid-request. Keyed by request seq.
+    - [Stall]: the first Monte-Carlo word (word 0) of an estimate
+      sleeps [stall_ms] (a wedged word), exercising deadline
+      enforcement mid-request. Keyed by request seq.
     - [Slow]: the transport delays delivery of an input line by
       [slow_ms]. Keyed by line number.
     - [Truncate]: the transport delivers only the first half of an

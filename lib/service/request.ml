@@ -83,8 +83,8 @@ let trials_field json ~default =
 
 (* ["range":[lo,hi]] marks a trial-range sub-job: run only the trials
    [lo <= k < hi] of the seeded estimate. The coordinator splits a large
-   request into these; contiguous ranges merge back bit-identically
-   ({!Suu_sim.Engine.merge_ranges}). *)
+   request into these at word boundaries; contiguous ranges merge back
+   bit-identically ({!Suu_sim.Engine.merge_ranges}). *)
 (* ["ci_target":w] asks for CI-width sequential stopping: the estimate
    may finish with fewer trials once the 95% CI half-width of the mean
    is at most [w]. Absent field -> the server's default (usually off). *)
@@ -142,8 +142,13 @@ let range_field json ~trials =
   | Some (Json.List [ lo; hi ]) -> (
       match (Json.to_int lo, Json.to_int hi) with
       | Some lo, Some hi ->
+          let word = Suu_sim.Lanes.lanes_per_word in
           if lo < 0 || hi <= lo || hi > trials then
             fail "range: need 0 <= lo < hi <= trials"
+          else if lo mod word <> 0 || (hi mod word <> 0 && hi <> trials) then
+            fail
+              "range: lo and hi must be multiples of %d (hi may equal trials)"
+              word
           else Some (lo, hi)
       | _ -> fail "range: expected [lo,hi] integers")
   | Some _ -> fail "range: expected [lo,hi] integers"
@@ -284,6 +289,11 @@ let churn_suffix = function
 let ci_suffix = function
   | None -> ""
   | Some w -> Printf.sprintf ":c%h" w
+
+let cacheable req =
+  match req.op with
+  | Solve _ | Estimate _ | Exact _ -> true
+  | Info _ | Ping | Stats _ -> false
 
 let cache_key req =
   match req.op with

@@ -25,7 +25,10 @@
     sub-job}: run only trials [lo <= k < hi] of the seeded estimate and
     answer a partial result carrying the raw samples — the unit of work
     the sharding coordinator fans out and merges bit-identically
-    ({!Suu_sim.Engine.merge_ranges}). ["ci_target"] (optional,
+    ({!Suu_sim.Engine.merge_ranges}). A range is a run of whole words of
+    the estimate, so [lo] must be a multiple of
+    {!Suu_sim.Lanes.lanes_per_word} and [hi] a multiple too or equal to
+    [trials]. ["ci_target"] (optional,
     Monte-Carlo ops only, > 0) enables CI-width sequential stopping: the
     estimate may execute fewer trials once the 95% CI half-width of the
     mean makespan reaches the target
@@ -122,9 +125,14 @@ val of_line :
     response can still be correlated. Missing ["trials"]/["seed"] take
     the supplied defaults, and a missing ["ci_target"] takes
     [default_ci_target] (default: none — exhaustive estimates); a
-    ["range"] must satisfy [0 <= lo < hi <= trials] and an explicit
+    ["range"] must satisfy [0 <= lo < hi <= trials] with word-aligned
+    ends (above) and an explicit
     ["ci_target"] must be positive. Lines with duplicate JSON keys are
     rejected at the parser ({!Json.of_string}). *)
+
+val cacheable : t -> bool
+(** Whether {!cache_key} is [Some _]: [solve], [estimate] and [exact]
+    answers can be cached; computing this costs no digest. *)
 
 val cache_key : t -> string option
 (** Result-cache key: a content digest of the request's semantics —
@@ -135,7 +143,7 @@ val cache_key : t -> string option
     and [exact]; [None] for the
     uncacheable ops ([info] is cheap, [ping] and [stats] are
     time-varying). Requests with equal keys are guaranteed identical
-    answers by the per-trial seeding discipline
+    answers by the word-seeded contract
     ({!Suu_sim.Engine.estimate_makespan_seeded}). *)
 
 val sub_line : t -> lo:int -> hi:int -> string

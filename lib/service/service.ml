@@ -240,15 +240,15 @@ let failed fmt = Printf.ksprintf (fun msg -> raise (Failed msg)) fmt
 
 (* Monotonic: deadlines and latencies must not move with the civil
    clock (NTP steps, manual adjustment). *)
-let now_ms = Clock.now_ms
+let now_ms = Suu_obs.Clock.now_ms
 
-(* [domains = 1] runs the trials inline in the worker; more than one
-   fans each estimate out over nested domains. Either way the per-trial
-   RNG derivation makes the answer — summary and sample order alike — a
-   pure function of the request, so changing [domains] never changes a
-   cached or recomputed response. *)
+(* [domains = 1] runs the words inline in the worker; more than one
+   fans each estimate out over nested domains. Either way the word-seeded
+   contract makes the answer — summary and sample order alike — a pure
+   function of the request, so changing [domains] never changes a cached
+   or recomputed response. *)
 let estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target ~releases
-    ~churn ~stop ~on_trial instance =
+    ~churn ~stop ~on_word instance =
   (* The wire carries the churn spec, not the timeline: regenerate it
      here against this instance's machine count, deterministically, so
      every worker (and every sub-job of a coordinator split) simulates
@@ -268,7 +268,7 @@ let estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target ~releases
          executed count, which a [ci_target] can cut below [hi - lo]. *)
       let e =
         Engine.estimate_makespan_range ?releases ?availability ?ci_target
-          ~stop ~on_trial ~seed ~lo ~hi instance policy
+          ~domains ~stop ~on_word ~seed ~lo ~hi instance policy
       in
       [
         ("algo", Json.Str policy.Policy.name);
@@ -284,12 +284,8 @@ let estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target ~releases
       ]
   | None ->
       let e =
-        if domains <= 1 then
-          Engine.estimate_makespan_seeded ?releases ?availability ?ci_target
-            ~stop ~on_trial ~trials ~seed instance policy
-        else
-          Engine.estimate_makespan_parallel ?releases ?availability ~domains
-            ?ci_target ~stop ~on_trial ~trials ~seed instance policy
+        Engine.estimate_makespan_seeded ?releases ?availability ?ci_target
+          ~domains ~stop ~on_word ~trials ~seed instance policy
       in
       let p95 =
         if Array.length e.Engine.samples = 0 then 0.
@@ -326,7 +322,7 @@ let info_fields instance =
         ] );
   ]
 
-let execute op ~domains ~stop ~on_trial =
+let execute op ~domains ~stop ~on_word =
   match op with
   | Request.Solve
       { algo; trials; seed; range; ci_target; releases; churn; instance } ->
@@ -340,13 +336,13 @@ let execute op ~domains ~stop ~on_trial =
         with Suu_algo.Solver.Unsupported msg -> failed "unsupported: %s" msg
       in
       estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target
-        ~releases ~churn ~stop ~on_trial instance
+        ~releases ~churn ~stop ~on_word instance
   | Request.Estimate
       { plan; trials; seed; range; ci_target; releases; churn; instance; _ }
     ->
       estimate_fields ~domains
         ~policy:(Policy.of_oblivious "plan" plan)
-        ~trials ~seed ~range ~ci_target ~releases ~churn ~stop ~on_trial
+        ~trials ~seed ~range ~ci_target ~releases ~churn ~stop ~on_word
         instance
   | Request.Ping -> [ ("pong", Json.Bool true) ]
   | Request.Info instance -> info_fields instance
@@ -554,13 +550,21 @@ let handle_job cfg ~metrics ~cache ~queue ~em job =
         in
         Trace.with_span cfg.tracer ~cat:"service" ~attrs:span_attrs "request"
         @@ fun () ->
-        let key = Request.cache_key req in
+        (* A zero-capacity cache stores nothing, so its key — an
+           [Io.digest] re-serialisation of the whole instance — is never
+           computed: the lookup still counts its miss and the answer
+           still carries "cached":false. *)
+        let key =
+          if Cache.capacity cache > 0 then Request.cache_key req
+          else if Request.cacheable req then Some ""
+          else None
+        in
         match Option.bind key (Cache.find cache) with
         | Some fields ->
             finish_ok ~retries:0 (("cached", Json.Bool true) :: fields)
         | None ->
-            let on_trial k =
-              if k = 0 && Fault.fires cfg.fault Fault.Stall ~key:seq then
+            let on_word w =
+              if w = 0 && Fault.fires cfg.fault Fault.Stall ~key:seq then
                 Unix.sleepf (cfg.fault.Fault.stall_ms /. 1000.)
             in
             let rec attempt k =
@@ -577,7 +581,7 @@ let handle_job cfg ~metrics ~cache ~queue ~em job =
                   "execute"
                   (fun () ->
                     execute op ~domains:cfg.estimate_domains ~stop:expired
-                      ~on_trial)
+                      ~on_word)
               with
               | fields ->
                   Option.iter (fun cache_k -> Cache.add cache cache_k fields) key;

@@ -22,20 +22,20 @@
     {2 Reproducibility}
 
     Workers estimate makespans with
-    {!Suu_sim.Engine.estimate_makespan_seeded} (or, when
-    [estimate_domains > 1], its bit-identical parallel counterpart),
-    whose per-trial RNG derivation makes an answer a pure function of
-    the request — not of worker count, estimate fan-out, scheduling, or
-    cache state. A cache hit therefore returns byte-identical result
-    fields to a recomputation.
+    {!Suu_sim.Engine.estimate_makespan_seeded} (ranged sub-jobs with
+    {!Suu_sim.Engine.estimate_makespan_range}), spread over
+    [estimate_domains] domains. Its word-seeded contract makes an answer
+    a pure function of the request — not of worker count, estimate
+    fan-out, scheduling, or cache state. A cache hit therefore returns
+    byte-identical result fields to a recomputation.
 
     {2 Deadlines}
 
     A request's budget ([deadline_ms], or the configured default) is
     measured from admission. It is checked when a worker picks the
-    request up and between Monte-Carlo trials, so a pathological
-    instance cannot wedge a worker beyond one trial (itself bounded by
-    the engine's horizon). Expired requests answer
+    request up and before every Monte-Carlo word, so a pathological
+    instance cannot wedge a worker beyond one word (each of its trials
+    bounded by the engine's horizon). Expired requests answer
     [{"status":"timeout",…}].
 
     {2 Fault tolerance}
@@ -62,7 +62,7 @@
 
     All of it is exercisable deterministically through [fault]
     ({!Fault.spec}): injected worker crashes, transient failures,
-    stalled trials, slow consumers, and slow or truncated transport
+    stalled words, slow consumers, and slow or truncated transport
     lines, each keyed so the same spec corrupts the same requests at
     any worker count. *)
 
@@ -86,11 +86,11 @@ type config = {
           degraded; [None] disables degradation *)
   degrade_trials : int;  (** trial cap for degraded admissions (>= 1) *)
   estimate_domains : int;
-      (** domains {e per estimate} (>= 1): 1 runs a request's trials
-          inline in its worker; more fans each estimate out through
-          {!Suu_sim.Engine.estimate_makespan_parallel}, which is
-          bit-identical to the inline path, so responses (cached or
-          recomputed) never depend on this knob *)
+      (** domains {e per estimate} (>= 1), passed as the estimator's
+          [~domains]: 1 runs a request's words inline in its worker;
+          more fans each estimate's words out over nested domains,
+          bit-identically, so responses (cached or recomputed) never
+          depend on this knob *)
   default_ci_target : float option;
       (** when a request omits ["ci_target"]; [None] (the default) runs
           every estimate to its full trial count. A target enables
@@ -132,8 +132,8 @@ val report_to_prom : ?workers:int -> report -> string
     cache/queue gauges (plus a [suu_workers] gauge when [workers] is
     given), the full ok-latency histogram with cumulative [le] buckets,
     and the engine's process-wide counters
-    ({!Suu_sim.Engine.counters} — trials run, steps simulated, leapfrog
-    trials and steps skipped). Served by the [stats] request's
+    ({!Suu_sim.Engine.counters} — trials run, naive steps simulated,
+    kernel words, early stops). Served by the [stats] request's
     [format:"prom"] variant and by [suu serve --stats-format prom]'s
     shutdown dump. *)
 

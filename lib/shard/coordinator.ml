@@ -8,7 +8,7 @@ module Trace = Suu_obs.Trace
 module Prom = Suu_obs.Prom
 module Histogram = Suu_obs.Histogram
 
-let now_ms = Suu_service.Clock.now_ms
+let now_ms = Suu_obs.Clock.now_ms
 
 type config = {
   shards : int;
@@ -906,7 +906,8 @@ let validate (cfg : config) =
   if cfg.replicas < 1 then invalid_arg "Coordinator: replicas < 1";
   if cfg.sub_inflight < 1 then invalid_arg "Coordinator: sub_inflight < 1";
   if cfg.retries < 0 then invalid_arg "Coordinator: retries < 0";
-  if cfg.chunk_trials < 0 then invalid_arg "Coordinator: chunk_trials < 0";
+  if cfg.chunk_trials < 0 || cfg.chunk_trials mod Suu_sim.Lanes.lanes_per_word <> 0
+  then invalid_arg "Coordinator: chunk_trials must be 0 or a word multiple";
   if cfg.respawn_budget < 0 then invalid_arg "Coordinator: respawn_budget < 0";
   if cfg.suspect_after < 1 then invalid_arg "Coordinator: suspect_after < 1";
   if cfg.dead_after < cfg.suspect_after then

@@ -1,23 +1,17 @@
 module Instance = Suu_core.Instance
 module Assignment = Suu_core.Assignment
 module Policy = Suu_core.Policy
-module Oblivious = Suu_core.Oblivious
 module Counters = Suu_obs.Counters
 module Exec_trace = Suu_obs.Exec_trace
 module Churn = Suu_dyn.Churn
 
 (* Process-wide engine telemetry. Counters are bumped once or twice per
-   trial (never per step), so they are always on: two atomic adds
-   disappear against the cost of even the shortest trial, which is what
-   keeps the observer-disabled perf-smoke budget honest. *)
+   word or naive trial (never per step), so they are always on: two
+   atomic adds disappear against the cost of even the shortest trial,
+   which is what keeps the observer-disabled perf-smoke budget honest. *)
 let counters = Counters.create ()
 let c_trials = Counters.make counters "engine_trials_total"
 let c_steps = Counters.make counters "engine_steps_simulated_total"
-let c_leap_trials = Counters.make counters "engine_leapfrog_trials_total"
-
-let c_leap_steps =
-  Counters.make counters "engine_leapfrog_steps_skipped_total"
-
 let c_vector_words = Counters.make counters "engine_vector_words_total"
 let c_early_stops = Counters.make counters "engine_early_stops_total"
 
@@ -34,7 +28,8 @@ let default_horizon inst =
     Float.to_int (Float.min bound 5e7) + 64
   end
 
-(* Mutable execution arena shared by [run], [trace] and the estimators.
+(* Mutable execution arena of the naive stepper ([run], [trace], observed
+   replays and untagged policies inside the estimators).
    One arena serves every trial of an estimate: [exec_reset] restores it
    without reallocating, so the steady-state trial loop allocates
    nothing. *)
@@ -183,33 +178,10 @@ let exec_completed_list ex =
   done;
   !acc
 
-(* Run one realisation on an already-reset arena. *)
-let run_exec ~max_steps rng ex policy =
-  let decide = policy.Policy.fresh () in
-  let t = ref 0 in
-  while ex.remaining > 0 && !t < max_steps do
-    exec_release_due ex !t;
-    let state =
-      { Policy.step = !t; unfinished = ex.unfinished; eligible = ex.eligible }
-    in
-    let a = decide state in
-    exec_step rng ex !t a;
-    incr t
-  done;
-  { makespan = !t; completed = ex.remaining = 0 }
-
-let run ?max_steps ?releases ?availability rng inst policy =
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let ex = exec_create ?releases ?churn:availability inst in
-  run_exec ~max_steps rng ex policy
-
-let trace ?max_steps ?releases ?availability rng inst policy =
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let ex = exec_create ?releases ?churn:availability inst in
+(* Run one realisation on an already-reset arena, recording the first
+   [limit] steps as [(step, decided assignment, completions)]. Recording
+   happens after each [exec_step], so it never perturbs the draws. *)
+let run_recorded ~max_steps ~limit rng ex policy =
   let decide = policy.Policy.fresh () in
   let history = ref [] in
   let t = ref 0 in
@@ -220,10 +192,29 @@ let trace ?max_steps ?releases ?availability rng inst policy =
     in
     let a = decide state in
     exec_step rng ex !t a;
-    history := (!t, Array.copy a, exec_completed_list ex) :: !history;
+    if !t < limit then
+      history := (!t, Array.copy a, exec_completed_list ex) :: !history;
     incr t
   done;
-  List.rev !history
+  ({ makespan = !t; completed = ex.remaining = 0 }, List.rev !history)
+
+let run_recorded_fresh ?max_steps ?releases ?availability ~limit rng inst
+    policy =
+  let max_steps =
+    match max_steps with Some v -> v | None -> default_horizon inst
+  in
+  let ex = exec_create ?releases ?churn:availability inst in
+  run_recorded ~max_steps ~limit rng ex policy
+
+let run ?max_steps ?releases ?availability rng inst policy =
+  fst
+    (run_recorded_fresh ?max_steps ?releases ?availability ~limit:0 rng inst
+       policy)
+
+let trace ?max_steps ?releases ?availability rng inst policy =
+  snd
+    (run_recorded_fresh ?max_steps ?releases ?availability ~limit:max_int rng
+       inst policy)
 
 type estimate = {
   stats : Suu_prob.Stats.summary;
@@ -242,147 +233,17 @@ let finish_estimate ~max_steps ~trials ~incomplete samples =
   in
   { stats; trials; incomplete; samples }
 
-(* --- per-trial machinery shared by the three estimators --- *)
-
-(* One reusable trial runner: the naive stepping arena for general
-   policies, the compiled leapfrog plan for oblivious ones. Either way,
-   all per-trial state is preallocated once per (estimate, domain). *)
-type runner =
-  | Stepper of exec * Policy.t
-  | Leap of Leapfrog.t * Oblivious.t
-      (** the schedule rides along so observed trials can reconstruct
-          per-step assignments without re-deriving them from the plan *)
-
-let make_runner ?releases ?availability inst policy =
-  let churn = check_availability inst availability in
-  match Policy.oblivious policy with
-  | Some sched ->
-      (* Fold churn into the schedule itself: the masked schedule idles
-         down machines, so the unchurned leapfrog sampler over it draws
-         exactly the surviving (machine, step) attempts. *)
-      let sched =
-        match churn with None -> sched | Some c -> Churn.mask c sched
-      in
-      Leap (Leapfrog.prepare ?releases inst sched, sched)
-  | None -> Stepper (exec_create ?releases ?churn inst, policy)
-
-let run_trial runner rng ~max_steps =
-  Counters.incr c_trials;
-  match runner with
-  | Stepper (ex, policy) ->
-      exec_reset ex;
-      let o = run_exec ~max_steps rng ex policy in
-      Counters.add c_steps o.makespan;
-      o
-  | Leap (leap, _) ->
-      let makespan, completed = Leapfrog.run leap rng ~max_steps in
-      Counters.incr c_leap_trials;
-      Counters.add c_leap_steps makespan;
-      { makespan; completed }
-
-(* Run one trial while capturing its step-by-step history (at most
-   [limit] steps). RNG consumption is bit-identical to [run_trial]:
-
-   - Stepper: the loop below performs exactly [run_exec]'s draw sequence
-     and records {e after} each [exec_step], so observation cannot
-     perturb the stream.
-   - Leap: the geometric draws are untouched; [reset_completions] draws
-     nothing, and the per-step history is {e reconstructed} afterwards
-     from the completion arena plus the schedule itself — the recorded
-     assignment at step [t] is [Oblivious.step sched t] verbatim, which
-     is precisely what [trace]'s naive stepper records for an oblivious
-     policy (the decided assignment, completed jobs included). *)
-let run_trial_observed runner rng ~max_steps ~limit =
-  Counters.incr c_trials;
-  match runner with
-  | Stepper (ex, policy) ->
-      exec_reset ex;
-      let decide = policy.Policy.fresh () in
-      let steps = ref [] in
-      let recorded = ref 0 in
-      let t = ref 0 in
-      while ex.remaining > 0 && !t < max_steps do
-        exec_release_due ex !t;
-        let state =
-          {
-            Policy.step = !t;
-            unfinished = ex.unfinished;
-            eligible = ex.eligible;
-          }
-        in
-        let a = decide state in
-        exec_step rng ex !t a;
-        if !recorded < limit then begin
-          steps :=
-            {
-              Exec_trace.t = !t + 1;
-              assignment = Array.copy a;
-              completed = exec_completed_list ex;
-            }
-            :: !steps;
-          incr recorded
-        end;
-        incr t
-      done;
-      Counters.add c_steps !t;
-      ({ makespan = !t; completed = ex.remaining = 0 }, List.rev !steps)
-  | Leap (leap, sched) ->
-      Leapfrog.reset_completions leap;
-      let makespan, completed = Leapfrog.run leap rng ~max_steps in
-      Counters.incr c_leap_trials;
-      Counters.add c_leap_steps makespan;
-      let comp = Leapfrog.completions leap in
-      let upto = min makespan limit in
-      (* Bucket sampled completions by step within the recorded window
-         (completions past [limit] are dropped, like the stepper's). *)
-      let compl = Array.make (max upto 1) [] in
-      Array.iteri
-        (fun j c ->
-          if c <> Leapfrog.never && c < upto then compl.(c) <- j :: compl.(c))
-        comp;
-      let steps =
-        List.init upto (fun t ->
-            {
-              Exec_trace.t = t + 1;
-              assignment = Array.copy (Oblivious.step sched t);
-              completed = compl.(t);
-            })
-      in
-      ({ makespan; completed }, steps)
-
-(* Samples are collected into a preallocated buffer in trial order
-   (slot k of the buffer is the k-th completed trial). *)
-type collector = {
-  buf : float array;
-  mutable filled : int;
-  mutable truncated : int;
-}
-
-let collector trials = { buf = Array.make trials 0.; filled = 0; truncated = 0 }
-
-let collect c (o : outcome) =
-  if o.completed then begin
-    c.buf.(c.filled) <- Float.of_int o.makespan;
-    c.filled <- c.filled + 1
-  end
-  else c.truncated <- c.truncated + 1
-
-let collector_samples c = Array.sub c.buf 0 c.filled
-
-(* Same per-trial seed mixing everywhere: the stream of trial [k] is a
-   pure function of [(seed, k)], so seeded and parallel estimates agree
-   sample-for-sample at any domain count. *)
+(* The seed mix of the word-seeded contract: word [w] of seed [s] runs
+   the kernel on [trial_seed s w], and naive trial [k] (untagged policies
+   and observed replays) draws from [Rng.create (trial_seed s k)]. *)
 let trial_seed seed k = seed lxor ((k + 1) * 0x9E3779B1)
 
 (* --- CI-width sequential stopping ------------------------------------ *)
 
 (* Running Welford accumulator over completed samples, checked only at
-   whole-word boundaries (the vectorized batch size, so scalar and
-   vectorized estimators stop at the same trial counts). The half-width
-   mirrors [Stats.summarize]: 1.96 * sqrt(m2 / (n-1)) / sqrt(n). *)
+   word boundaries. The half-width mirrors [Stats.summarize]:
+   1.96 * sqrt(m2 / (n-1)) / sqrt(n). *)
 type ci_acc = { mutable cnt : int; mutable mean : float; mutable m2 : float }
-
-let ci_acc () = { cnt = 0; mean = 0.; m2 = 0. }
 
 let ci_add a x =
   a.cnt <- a.cnt + 1;
@@ -396,110 +257,137 @@ let ci_reached a target =
   let n = Float.of_int a.cnt in
   1.96 *. sqrt (a.m2 /. (n -. 1.) /. n) <= target
 
-let check_ci_target = function
-  | Some c when not (c > 0.) -> invalid_arg "Engine: ci_target must be > 0"
-  | _ -> ()
+(* --- the word fold ---------------------------------------------------- *)
+
+exception Interrupted
 
 let word = Lanes.lanes_per_word
+
+(* A domain's word engine: the compiled kernel for tagged policies, else
+   the naive stepper run lane by lane. Either is created once per
+   (estimate, domain) and reused for every word it claims. *)
+type word_runner = Vector of Lanes.t | Naive of exec * Policy.t
+
+let word_runner ?releases ?availability inst policy =
+  match Lanes.create ?releases ?availability inst policy with
+  | Some k -> Vector k
+  | None -> Naive (exec_create ?releases ?churn:availability inst, policy)
+
+(* Word [w]'s [lanes] makespans into [mk] ([-1] for a truncated lane). *)
+let run_word runner ~seed ~max_steps ~w ~lanes mk =
+  Counters.add c_trials lanes;
+  match runner with
+  | Vector k ->
+      Lanes.run_word k ~seed:(trial_seed seed w) ~max_steps ~lanes
+        ~makespans:mk;
+      Counters.incr c_vector_words
+  | Naive (ex, policy) ->
+      for l = 0 to lanes - 1 do
+        exec_reset ex;
+        let rng = Suu_prob.Rng.create (trial_seed seed ((w * word) + l)) in
+        let o, _ = run_recorded ~max_steps ~limit:0 rng ex policy in
+        Counters.add c_steps o.makespan;
+        mk.(l) <- (if o.completed then o.makespan else -1)
+      done
+
+(* The one estimator body: the trials [lo, hi) as the words
+   [lo / word, ceil (hi / word)), claimed from a shared counter by
+   [domains] domains and folded in word order under a mutex, so the
+   samples, the stopping word and every count are a pure function of
+   [(seed, lo, hi, ci_target)] at any domain count. Each word polls
+   [stop] and calls [on_word] once before it runs; the first exception
+   any domain raises aborts the others and is re-raised here. Words
+   claimed past a [ci_target] stop are discarded. *)
+let fold ?max_steps ?releases ?availability ?ci_target ?(domains = 1)
+    ?(stop = fun () -> false) ?(on_word = fun (_ : int) -> ()) ~seed ~lo ~hi
+    inst policy =
+  (match ci_target with
+  | Some c when not (c > 0.) -> invalid_arg "Engine: ci_target must be > 0"
+  | _ -> ());
+  if domains < 1 then invalid_arg "Engine: domains < 1";
+  let max_steps =
+    match max_steps with Some v -> v | None -> default_horizon inst
+  in
+  let w_lo = lo / word and w_hi = (hi + word - 1) / word in
+  let lanes w = min hi ((w + 1) * word) - (w * word) in
+  let slots = Array.make (hi - lo) 0 in
+  let buf = Array.make (hi - lo) 0. in
+  let filled = ref 0 and truncated = ref 0 in
+  let acc = { cnt = 0; mean = 0.; m2 = 0. } in
+  let next = Atomic.make w_lo in
+  let stop_word = Atomic.make w_hi in
+  let failure = Atomic.make None in
+  let mu = Mutex.create () in
+  let ran = Array.make (w_hi - w_lo) false in
+  let watermark = ref w_lo in
+  let fold_word w =
+    Mutex.lock mu;
+    ran.(w - w_lo) <- true;
+    while !watermark < Atomic.get stop_word && ran.(!watermark - w_lo) do
+      let base = (!watermark * word) - lo in
+      for i = base to base + lanes !watermark - 1 do
+        if slots.(i) < 0 then incr truncated
+        else begin
+          let x = Float.of_int slots.(i) in
+          buf.(!filled) <- x;
+          incr filled;
+          ci_add acc x
+        end
+      done;
+      incr watermark;
+      match ci_target with
+      | Some tgt when !watermark < w_hi && ci_reached acc tgt ->
+          Atomic.set stop_word !watermark;
+          Counters.incr c_early_stops
+      | _ -> ()
+    done;
+    Mutex.unlock mu
+  in
+  let worker () =
+    try
+      let runner = word_runner ?releases ?availability inst policy in
+      let mk = Array.make word 0 in
+      let continue = ref true in
+      while !continue do
+        let w = Atomic.fetch_and_add next 1 in
+        if w >= Atomic.get stop_word || Atomic.get failure <> None then
+          continue := false
+        else begin
+          if stop () then raise Interrupted;
+          on_word w;
+          run_word runner ~seed ~max_steps ~w ~lanes:(lanes w) mk;
+          Array.blit mk 0 slots ((w * word) - lo) (lanes w);
+          fold_word w
+        end
+      done
+    with e -> ignore (Atomic.compare_and_set failure None (Some e) : bool)
+  in
+  let spawned =
+    List.init (min domains (w_hi - w_lo) - 1) (fun _ -> Domain.spawn worker)
+  in
+  worker ();
+  List.iter Domain.join spawned;
+  Option.iter raise (Atomic.get failure);
+  finish_estimate ~max_steps ~trials:(!filled + !truncated)
+    ~incomplete:!truncated (Array.sub buf 0 !filled)
 
 let estimate_makespan ?max_steps ?releases ?availability ?ci_target ~trials rng
     inst policy =
   if trials < 1 then invalid_arg "Engine.estimate_makespan: trials < 1";
-  check_ci_target ci_target;
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let c = collector trials in
-  let acc = ci_acc () in
-  let executed = ref 0 in
-  let stopped = ref false in
-  (* Stop once the 95% CI half-width over completed samples dips below
-     the target — only at word boundaries, so both paths below agree on
-     where stopping is possible. *)
-  let check_stop () =
-    match ci_target with
-    | Some tgt when !executed < trials && ci_reached acc tgt ->
-        stopped := true;
-        Counters.incr c_early_stops
-    | _ -> ()
-  in
-  (match Lanes.create ?releases ?availability inst policy with
-  | Some k ->
-      (* Vectorized path: whole words of trials per kernel call, each
-         word seeded from the caller's generator. Distribution-equivalent
-         to the scalar path, not stream-equivalent. *)
-      let makespans = Array.make word 0 in
-      while (not !stopped) && !executed < trials do
-        let lanes = min word (trials - !executed) in
-        let seed = Int64.to_int (Suu_prob.Rng.int64 rng) in
-        Lanes.run_word k ~seed ~max_steps ~lanes ~makespans;
-        Counters.incr c_vector_words;
-        Counters.add c_trials lanes;
-        for l = 0 to lanes - 1 do
-          let mk = makespans.(l) in
-          if mk >= 0 then begin
-            let x = Float.of_int mk in
-            c.buf.(c.filled) <- x;
-            c.filled <- c.filled + 1;
-            ci_add acc x
-          end
-          else c.truncated <- c.truncated + 1
-        done;
-        executed := !executed + lanes;
-        check_stop ()
-      done
-  | None ->
-      let runner = make_runner ?releases ?availability inst policy in
-      while (not !stopped) && !executed < trials do
-        let o = run_trial runner rng ~max_steps in
-        if o.completed then ci_add acc (Float.of_int o.makespan);
-        collect c o;
-        incr executed;
-        if !executed mod word = 0 then check_stop ()
-      done);
-  finish_estimate ~max_steps ~trials:!executed ~incomplete:c.truncated
-    (collector_samples c)
-
-exception Interrupted
+  fold ?max_steps ?releases ?availability ?ci_target
+    ~seed:(Int64.to_int (Suu_prob.Rng.int64 rng))
+    ~lo:0 ~hi:trials inst policy
 
 let estimate_makespan_range ?max_steps ?releases ?availability ?ci_target
-    ?(stop = fun () -> false) ?(on_trial = fun (_ : int) -> ()) ~seed ~lo ~hi
-    inst policy =
+    ?domains ?stop ?on_word ~seed ~lo ~hi inst policy =
   if lo < 0 || hi <= lo then
     invalid_arg "Engine.estimate_makespan_range: need 0 <= lo < hi";
-  check_ci_target ci_target;
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let runner = make_runner ?releases ?availability inst policy in
-  let c = collector (hi - lo) in
-  let acc = ci_acc () in
-  let executed = ref 0 in
-  let stopped = ref false in
-  (* Absolute trial indices: trial [k] of the range draws from the very
-     generator trial [k] of a full run draws from, so contiguous ranges
-     concatenate into the full run's sample vector bit-for-bit. Stopping
-     boundaries are counted relative to [lo] — a deterministic property
-     of the range alone, independent of how the caller partitioned. *)
-  let k = ref lo in
-  while (not !stopped) && !k < hi do
-    if stop () then raise Interrupted;
-    on_trial !k;
-    let rng = Suu_prob.Rng.create (trial_seed seed !k) in
-    let o = run_trial runner rng ~max_steps in
-    if o.completed then ci_add acc (Float.of_int o.makespan);
-    collect c o;
-    incr executed;
-    incr k;
-    if !executed mod word = 0 then
-      match ci_target with
-      | Some tgt when !k < hi && ci_reached acc tgt ->
-          stopped := true;
-          Counters.incr c_early_stops
-      | _ -> ()
-  done;
-  finish_estimate ~max_steps ~trials:!executed ~incomplete:c.truncated
-    (collector_samples c)
+  if lo mod word <> 0 then
+    invalid_arg
+      "Engine.estimate_makespan_range: lo must be a multiple of \
+       Lanes.lanes_per_word";
+  fold ?max_steps ?releases ?availability ?ci_target ?domains ?stop ?on_word
+    ~seed ~lo ~hi inst policy
 
 let merge_ranges ~max_steps parts =
   if parts = [] then invalid_arg "Engine.merge_ranges: no parts";
@@ -508,178 +396,42 @@ let merge_ranges ~max_steps parts =
   let samples = Array.concat (List.map (fun e -> e.samples) parts) in
   finish_estimate ~max_steps ~trials ~incomplete samples
 
-let estimate_makespan_seeded ?max_steps ?releases ?availability ?ci_target
-    ?(stop = fun () -> false) ?(on_trial = fun (_ : int) -> ()) ?observer
-    ~trials ~seed inst policy =
-  if trials < 1 then invalid_arg "Engine.estimate_makespan_seeded: trials < 1";
-  check_ci_target ci_target;
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let runner = make_runner ?releases ?availability inst policy in
-  let c = collector trials in
-  let acc = ci_acc () in
-  let stopped = ref false in
-  let k = ref 0 in
-  while (not !stopped) && !k < trials do
-    if stop () then raise Interrupted;
-    on_trial !k;
-    let rng = Suu_prob.Rng.create (trial_seed seed !k) in
-    let outcome =
-      match observer with
-      | Some o when Exec_trace.selects o !k ->
-          let outcome, steps =
-            run_trial_observed runner rng ~max_steps ~limit:o.Exec_trace.limit
-          in
-          o.Exec_trace.emit
-            {
-              Exec_trace.index = !k;
-              seed = trial_seed seed !k;
-              makespan = outcome.makespan;
-              truncated = not outcome.completed;
-              steps;
-            };
-          outcome
-      | _ -> run_trial runner rng ~max_steps
-    in
-    if outcome.completed then ci_add acc (Float.of_int outcome.makespan);
-    collect c outcome;
-    incr k;
-    if !k mod word = 0 then
-      match ci_target with
-      | Some tgt when !k < trials && ci_reached acc tgt ->
-          stopped := true;
-          Counters.incr c_early_stops
-      | _ -> ()
-  done;
-  finish_estimate ~max_steps ~trials:!k ~incomplete:c.truncated
-    (collector_samples c)
+(* Observed trials are naive-stepper replays of [(seed, k)], run after
+   the estimate so they cannot touch its words. *)
+let observe (o : Exec_trace.observer) ?max_steps ?releases ?availability
+    ~seed ~trials inst policy =
+  for k = 0 to trials - 1 do
+    if Exec_trace.selects o k then begin
+      let seed = trial_seed seed k in
+      let outcome, history =
+        run_recorded_fresh ?max_steps ?releases ?availability
+          ~limit:o.Exec_trace.limit (Suu_prob.Rng.create seed) inst policy
+      in
+      o.Exec_trace.emit
+        {
+          Exec_trace.index = k;
+          seed;
+          makespan = outcome.makespan;
+          truncated = not outcome.completed;
+          steps =
+            List.map
+              (fun (t, assignment, completed) ->
+                { Exec_trace.t = t + 1; assignment; completed })
+              history;
+        }
+    end
+  done
 
-let estimate_makespan_parallel ?max_steps ?releases ?availability ?domains
-    ?ci_target ?(stop = fun () -> false) ?(on_trial = fun (_ : int) -> ())
-    ~trials ~seed inst policy =
-  if trials < 1 then invalid_arg "Engine.estimate_makespan_parallel: trials < 1";
-  check_ci_target ci_target;
-  let domains =
-    match domains with
-    | Some d ->
-        if d < 1 then
-          invalid_arg "Engine.estimate_makespan_parallel: domains < 1";
-        d
-    | None -> min 8 (Domain.recommended_domain_count ())
+let estimate_makespan_seeded ?max_steps ?releases ?availability ?ci_target
+    ?domains ?stop ?on_word ?observer ~trials ~seed inst policy =
+  if trials < 1 then invalid_arg "Engine.estimate_makespan_seeded: trials < 1";
+  let e =
+    fold ?max_steps ?releases ?availability ?ci_target ?domains ?stop
+      ?on_word ~seed ~lo:0 ~hi:trials inst policy
   in
-  let domains = min domains trials in
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let failure : exn option Atomic.t = Atomic.make None in
-  let not_run = -1. in
-  let slots = Array.make trials not_run in
-  let spawn_and_collect ~executed worker =
-    let handles = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join handles;
-    (match Atomic.get failure with Some e -> raise e | None -> ());
-    let executed = executed () in
-    let c = collector executed in
-    for i = 0 to executed - 1 do
-      if slots.(i) = not_run then c.truncated <- c.truncated + 1
-      else begin
-        c.buf.(c.filled) <- slots.(i);
-        c.filled <- c.filled + 1
-      end
-    done;
-    finish_estimate ~max_steps ~trials:executed ~incomplete:c.truncated
-      (collector_samples c)
-  in
-  match ci_target with
-  | None ->
-      (* Chunked self-scheduling: workers claim trial indices from a
-         shared counter, so domains stay balanced even when trial lengths
-         vary wildly (one unlucky long trial no longer idles the other
-         domains of its static share). Per-trial seeding makes the result
-         a pure function of [(seed, trials)] regardless of which domain
-         runs which trial — bit-identical to [estimate_makespan_seeded]. *)
-      let next = Atomic.make 0 in
-      let worker () =
-        let runner = make_runner ?releases ?availability inst policy in
-        let continue = ref true in
-        while !continue && Atomic.get failure = None do
-          let k = Atomic.fetch_and_add next 1 in
-          if k >= trials then continue := false
-          else
-            try
-              if stop () then raise Interrupted;
-              on_trial k;
-              let rng = Suu_prob.Rng.create (trial_seed seed k) in
-              let o = run_trial runner rng ~max_steps in
-              (* Truncated trials keep the sentinel; distinct slots, so
-                 the concurrent writes never race. *)
-              if o.completed then slots.(k) <- Float.of_int o.makespan
-            with e ->
-              (* First failure wins; the others drain. *)
-              ignore (Atomic.compare_and_set failure None (Some e) : bool)
-        done
-      in
-      spawn_and_collect ~executed:(fun () -> trials) worker
-  | Some tgt ->
-      (* Word-granular self-scheduling: the CI fold consumes whole words
-         of trials in index order (under a mutex, as words complete), so
-         the stopping boundary is the same one the sequential seeded
-         estimator finds — words claimed beyond it are discarded, which
-         bounds the overshoot by the domain count. *)
-      let nwords = (trials + word - 1) / word in
-      let next = Atomic.make 0 in
-      let stop_word = Atomic.make max_int in
-      let mu = Mutex.create () in
-      let word_done = Array.make nwords false in
-      let watermark = ref 0 in
-      let acc = ci_acc () in
-      let fold_done_word w =
-        Mutex.lock mu;
-        word_done.(w) <- true;
-        while
-          !watermark < nwords
-          && word_done.(!watermark)
-          && Atomic.get stop_word = max_int
-        do
-          let base = !watermark * word in
-          let bound = min trials (base + word) in
-          for i = base to bound - 1 do
-            if slots.(i) <> not_run then ci_add acc slots.(i)
-          done;
-          incr watermark;
-          if bound < trials && ci_reached acc tgt then begin
-            Atomic.set stop_word !watermark;
-            Counters.incr c_early_stops
-          end
-        done;
-        Mutex.unlock mu
-      in
-      let worker () =
-        let runner = make_runner ?releases ?availability inst policy in
-        let continue = ref true in
-        while !continue && Atomic.get failure = None do
-          let w = Atomic.fetch_and_add next 1 in
-          if w >= nwords || w >= Atomic.get stop_word then continue := false
-          else
-            try
-              let base = w * word in
-              let bound = min trials (base + word) in
-              for k = base to bound - 1 do
-                if stop () then raise Interrupted;
-                on_trial k;
-                let rng = Suu_prob.Rng.create (trial_seed seed k) in
-                let o = run_trial runner rng ~max_steps in
-                if o.completed then slots.(k) <- Float.of_int o.makespan
-              done;
-              fold_done_word w
-            with e ->
-              ignore (Atomic.compare_and_set failure None (Some e) : bool)
-        done
-      in
-      spawn_and_collect
-        ~executed:(fun () ->
-          let sw = Atomic.get stop_word in
-          if sw = max_int then trials else min trials (sw * word))
-        worker
+  Option.iter
+    (fun o ->
+      observe o ?max_steps ?releases ?availability ~seed ~trials:e.trials inst
+        policy)
+    observer;
+  e

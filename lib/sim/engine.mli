@@ -6,40 +6,31 @@
     finishes when at least one of its machines succeeds; eligibility
     updates at step boundaries.
 
-    {2 Hot path}
+    {2 The word-seeded contract}
 
-    The estimators reuse one mutable execution arena across all trials of
-    an estimate (reset, not reallocated), use an epoch-stamped scratch
-    array instead of a per-step hash table, and collect samples into a
-    preallocated buffer — the steady-state trial loop does not allocate.
-    For policies tagged {!Suu_core.Policy.Oblivious_schedule} the
-    estimators skip unit-step simulation entirely and sample completion
-    events geometrically ({!Leapfrog}); the resulting makespans are
-    distribution-equivalent to the naive stepper's but draw a different
-    (much shorter) RNG stream. [run] and [trace] always use the naive
-    stepper, and the naive stepper's Bernoulli draw sequence is stable
-    across versions, so seeded estimates of non-oblivious policies are
-    bit-reproducible.
-
-    {!estimate_makespan} additionally routes policies tagged
+    Every estimator below is one fold over {e words} of
+    {!Lanes.lanes_per_word} trials. Word [w] of seed [s] covers trials
+    [w * lanes_per_word] up to the next word boundary and draws from
+    [trial_seed s w]: policies tagged
     {!Suu_core.Policy.Oblivious_schedule} or
-    {!Suu_core.Policy.Greedy_pairs} through the trial-batched
-    {!Lanes} kernel — {!Lanes.lanes_per_word} trials per word of
-    word-wide bit operations, again distribution-equivalent but on its
-    own stream. The {e seeded} estimators never take that path: their
-    contract is bit-stability of the per-trial scalar draw sequence.
+    {!Suu_core.Policy.Greedy_pairs} run the whole word through the
+    trial-batched {!Lanes} kernel; untagged policies run the naive
+    stepper lane by lane, trial [k] on [Rng.create (trial_seed s k)].
+    Because a word's samples depend only on [(s, w)] and its lane count,
+    sequential, ranged and multi-domain runs over the same words are
+    bit-identical by construction. The naive stepper ([run], [trace]) is
+    the oracle: its Bernoulli draw sequence is stable across versions,
+    and the kernel is distribution-equivalent to it (pinned by the
+    [lanes-vs-exact] conformance property), not stream-equivalent.
 
     {2 Sequential stopping}
 
     Every estimator accepts [?ci_target] (default: off). When set, the
-    estimate stops drawing trials at the first {e word boundary}
-    (multiples of {!Lanes.lanes_per_word} trials) where the 95% CI
-    half-width of the mean makespan over completed samples is at most
-    [ci_target]; the [trials] field of the result reports the executed
-    count. Checks happen only at word boundaries for every estimator, so
-    scalar and vectorized paths stop at identical trial counts, seeded
-    and parallel estimates stay bit-identical to each other, and a range
-    estimate stops at boundaries relative to its own [lo].
+    estimate stops drawing trials at the first word boundary where the
+    95% CI half-width of the mean makespan over completed samples is at
+    most [ci_target]; the [trials] field of the result reports the
+    executed count. A range estimate accumulates from its own [lo], so
+    its stopping point is a property of the range alone.
     @raise Invalid_argument if [ci_target <= 0]. *)
 
 type outcome = {
@@ -48,15 +39,13 @@ type outcome = {
 }
 
 val counters : Suu_obs.Counters.t
-(** Process-wide engine telemetry, bumped by every estimator (at trial
-    granularity, from any domain): [engine_trials_total],
-    [engine_steps_simulated_total] (naive-stepper steps),
-    [engine_leapfrog_trials_total] and
-    [engine_leapfrog_steps_skipped_total] (steps the geometric sampler
-    never had to simulate), [engine_vector_words_total] (trial words the
-    vectorized {!Lanes} kernel executed) and [engine_early_stops_total]
-    (estimates cut short by a [ci_target]). The serving layer folds
-    these into its Prometheus exposition. *)
+(** Process-wide engine telemetry, bumped by every estimator (at word or
+    naive-trial granularity, from any domain): [engine_trials_total],
+    [engine_steps_simulated_total] (naive-stepper steps inside
+    estimates), [engine_vector_words_total] (words the {!Lanes} kernel
+    executed) and [engine_early_stops_total] (estimates cut short by a
+    [ci_target]). The serving layer folds these into its Prometheus
+    exposition. *)
 
 val default_horizon : Suu_core.Instance.t -> int
 (** A safe step cap: generous multiple of [n / p_min · (1 + ln n)], the
@@ -90,9 +79,8 @@ val run :
     idled it. Policies are churn-oblivious (they may still assign work
     to a down machine; the environment wastes it). The gated stepper on
     a schedule is draw-for-draw identical to the ungated stepper on
-    {!Suu_dyn.Churn.mask} of that schedule, which is how the estimators
-    below serve oblivious policies under churn at full leapfrog and
-    vectorized speed. @raise Invalid_argument when the timeline's
+    {!Suu_dyn.Churn.mask} of that schedule, which is how the {!Lanes}
+    kernel serves oblivious policies under churn at full speed. @raise Invalid_argument when the timeline's
     machine count differs from the instance's. *)
 
 val trace :
@@ -113,10 +101,117 @@ type estimate = {
           [ci_target] stopped the estimate early *)
   incomplete : int;  (** trials that hit the cap (excluded from stats) *)
   samples : float array;
-      (** makespans of the completed trials, in trial order — the k-th
-          element is the k-th trial that completed, for every estimator
-          (sequential, seeded and parallel alike) *)
+      (** makespans of the completed trials in trial order: word by
+          word, lane by lane within a word, for every estimator and
+          domain count *)
 }
+
+val trial_seed : int -> int -> int
+(** [trial_seed s i] is the seed of word [i] (or of naive trial [i]) of
+    the estimate with master seed [s]. *)
+
+exception Interrupted
+(** Raised by {!estimate_makespan_seeded} and {!estimate_makespan_range}
+    when their [stop] callback fires. *)
+
+val estimate_makespan_seeded :
+  ?max_steps:int ->
+  ?releases:int array ->
+  ?availability:Suu_dyn.Churn.t ->
+  ?ci_target:float ->
+  ?domains:int ->
+  ?stop:(unit -> bool) ->
+  ?on_word:(int -> unit) ->
+  ?observer:Suu_obs.Exec_trace.observer ->
+  trials:int ->
+  seed:int ->
+  Suu_core.Instance.t ->
+  Suu_core.Policy.t ->
+  estimate
+(** The word-seeded estimate over (up to) [trials] trials: a pure
+    function of [(seed, trials, ci_target)] and the inputs — not of
+    [domains], scheduling, or how many concurrent callers share the
+    process. The serving layer uses it so a request's answer is
+    identical no matter which worker domain runs it.
+
+    [domains] (default 1) fans the words out over that many OCaml 5
+    domains (capped at the word count), self-scheduled from a shared
+    counter and folded in word order, so the result is bit-identical at
+    any domain count; with a [ci_target], words claimed past the
+    stopping word are discarded, bounding the overshoot by the domain
+    count.
+
+    [stop] is polled once before each word (default: never stops); when
+    it returns [true] the estimate is abandoned and {!Interrupted} is
+    raised — the hook for per-request deadline enforcement. A word is
+    bounded by [max_steps] (default {!default_horizon}), so the poll
+    interval is bounded too.
+
+    [on_word w] (default: nothing) runs just before word [w], after the
+    [stop] poll. It is a fault-injection seam: the serving layer's chaos
+    harness stalls word 0 (exercising mid-request deadline enforcement)
+    or fails transiently (an exception, which propagates to the caller
+    and exercises the retry policy). It cannot perturb the estimate:
+    word [w]'s draws derive from [(seed, w)] after the hook returns.
+
+    With [domains > 1], [stop] and [on_word] may run concurrently in any
+    worker domain, so they must be domain-safe; the first exception one
+    of them (or a word) raises aborts the remaining words and is
+    re-raised in the calling domain. The policy's [fresh] function may
+    likewise run in any domain; policies must not share hidden mutable
+    state across trials (all policies in this library satisfy this).
+
+    [observer] (default: none) captures the step-by-step execution of
+    the trials its [sample_every] selects, emitting one
+    {!Suu_obs.Exec_trace.trial} per sampled trial, in trial order, after
+    the estimate completes. An observed trial [k] is a naive-stepper
+    replay ({!run}) on [Rng.create (trial_seed seed k)]: exactly trial
+    [k] for an untagged policy, and for a kernel-served policy
+    distribution-equivalent to the lane it samples but not a copy of
+    it. Replays never touch the estimate, which is bit-identical with
+    the observer on or off. For an oblivious policy the recorded
+    assignment at step [t] is the schedule column
+    [Oblivious.step sched t] verbatim — the {e decided} assignment,
+    completed jobs included — matching what {!trace} records. *)
+
+val estimate_makespan_range :
+  ?max_steps:int ->
+  ?releases:int array ->
+  ?availability:Suu_dyn.Churn.t ->
+  ?ci_target:float ->
+  ?domains:int ->
+  ?stop:(unit -> bool) ->
+  ?on_word:(int -> unit) ->
+  seed:int ->
+  lo:int ->
+  hi:int ->
+  Suu_core.Instance.t ->
+  Suu_core.Policy.t ->
+  estimate
+(** The trials [lo <= k < hi] of the seeded estimate with master seed
+    [seed] — the unit of work a sharding coordinator fans out. [lo] must
+    be a multiple of {!Lanes.lanes_per_word}, and [hi] a multiple too or
+    the full estimate's [trials]: the range is then a run of whole words
+    of that estimate, so for any such partition of [\[0, n)] into
+    contiguous ranges, {!merge_ranges} over the per-range estimates (in
+    range order) reproduces [estimate_makespan_seeded ~trials:n ~seed]
+    bit-for-bit: samples, summary, and incomplete count alike. The
+    returned [trials] field is [hi - lo], or the executed prefix length
+    when [ci_target] stopped the range early — stopping accumulates from
+    [lo], a deterministic property of the range alone. [domains], [stop]
+    and [on_word] have the contract of {!estimate_makespan_seeded}
+    ([on_word] sees absolute word indices).
+    @raise Invalid_argument unless [0 <= lo < hi] and [lo] is
+    word-aligned. *)
+
+val merge_ranges : max_steps:int -> estimate list -> estimate
+(** Merge per-range estimates of one seeded run, given in range order
+    (increasing [lo], ranges contiguous from 0): samples concatenate,
+    [trials] and [incomplete] add, and the summary is recomputed over
+    the merged sample vector — bit-identical to the single-process
+    seeded estimate when the parts partition its trial range and
+    [max_steps] matches (it only feeds the all-truncated fallback).
+    @raise Invalid_argument on the empty list. *)
 
 val estimate_makespan :
   ?max_steps:int ->
@@ -128,138 +223,5 @@ val estimate_makespan :
   Suu_core.Instance.t ->
   Suu_core.Policy.t ->
   estimate
-(** Expected-makespan estimate over (up to) [trials] independent
-    executions drawn sequentially from the given generator. Policies
-    with vectorizable structure run through the trial-batched {!Lanes}
-    kernel, one word seed drawn from the generator per
-    {!Lanes.lanes_per_word} trials; the result is then
-    distribution-equivalent (not bit-identical) to earlier scalar
-    versions of this estimator. *)
-
-exception Interrupted
-(** Raised by {!estimate_makespan_seeded}, {!estimate_makespan_range} and
-    {!estimate_makespan_parallel} when their [stop] callback fires. *)
-
-val estimate_makespan_range :
-  ?max_steps:int ->
-  ?releases:int array ->
-  ?availability:Suu_dyn.Churn.t ->
-  ?ci_target:float ->
-  ?stop:(unit -> bool) ->
-  ?on_trial:(int -> unit) ->
-  seed:int ->
-  lo:int ->
-  hi:int ->
-  Suu_core.Instance.t ->
-  Suu_core.Policy.t ->
-  estimate
-(** The trials [lo <= k < hi] of the seeded estimate with master seed
-    [seed] — the unit of work a sharding coordinator fans out. Trial [k]
-    draws from the same [(seed, k)]-derived generator as trial [k] of
-    {!estimate_makespan_seeded}, so for any partition of [\[0, n)] into
-    contiguous ranges, {!merge_ranges} over the per-range estimates (in
-    range order) reproduces [estimate_makespan_seeded ~trials:n ~seed]
-    bit-for-bit: samples, summary, and incomplete count alike. The
-    returned [trials] field is [hi - lo], or the executed prefix length
-    when [ci_target] stopped the range early — stopping boundaries count
-    from [lo], a deterministic property of the range alone. [stop] and
-    [on_trial] have the contract of {!estimate_makespan_seeded}
-    ([on_trial] sees absolute indices).
-    @raise Invalid_argument unless [0 <= lo < hi]. *)
-
-val merge_ranges : max_steps:int -> estimate list -> estimate
-(** Merge per-range estimates of one seeded run, given in range order
-    (increasing [lo], ranges contiguous from 0): samples concatenate,
-    [trials] and [incomplete] add, and the summary is recomputed over
-    the merged sample vector — bit-identical to the single-process
-    seeded estimate when the parts partition its trial range and
-    [max_steps] matches (it only feeds the all-truncated fallback).
-    @raise Invalid_argument on the empty list. *)
-
-val estimate_makespan_seeded :
-  ?max_steps:int ->
-  ?releases:int array ->
-  ?availability:Suu_dyn.Churn.t ->
-  ?ci_target:float ->
-  ?stop:(unit -> bool) ->
-  ?on_trial:(int -> unit) ->
-  ?observer:Suu_obs.Exec_trace.observer ->
-  trials:int ->
-  seed:int ->
-  Suu_core.Instance.t ->
-  Suu_core.Policy.t ->
-  estimate
-(** Like {!estimate_makespan} but with {e per-trial} RNG splitting: trial
-    [k] draws from a generator derived deterministically from [(seed, k)],
-    so the estimate depends only on [(seed, trials)] — not on chunking,
-    scheduling, or how many concurrent callers share the process. This is
-    the reproducibility discipline of {!estimate_makespan_parallel} pushed
-    down to trial granularity; the serving layer uses it so a request's
-    answer is identical no matter which worker domain runs it.
-
-    [stop] is polled between trials (default: never stops); when it
-    returns [true] the estimate is abandoned and {!Interrupted} is raised
-    — the hook for per-request deadline enforcement. A single trial is
-    bounded by [max_steps] (default {!default_horizon}), so the poll
-    interval is bounded too.
-
-    [on_trial k] (default: nothing) runs just before trial [k], after
-    the [stop] poll. It is an observability and fault-injection seam:
-    the serving layer's chaos harness uses it to stall a trial (a sleep,
-    exercising mid-request deadline enforcement — the next trial's
-    [stop] poll sees the expired deadline) or to fail transiently (an
-    exception, which propagates to the caller and exercises the retry
-    policy). It cannot perturb the estimate itself: trial [k]'s RNG
-    stream is derived from [(seed, k)] after the hook returns.
-
-    [observer] (default: none) captures the step-by-step execution —
-    per-step machine→job assignments and completions — of the trials its
-    [sample_every] selects, emitting one {!Suu_obs.Exec_trace.trial} per
-    sampled trial, in trial order. Like [on_trial] it cannot perturb the
-    estimate: an observed trial consumes {e exactly} the RNG stream of
-    an unobserved one (for the naive stepper the draw loop is identical
-    and recording happens after each step; for the leapfrog path the
-    history is reconstructed after the fact from the completion arena
-    and the schedule, drawing nothing), so seeded estimates are
-    bit-identical with the observer on or off. For an oblivious policy
-    the recorded assignment at step [t] is the schedule column
-    [Oblivious.step sched t] verbatim — the {e decided} assignment,
-    completed jobs included — matching what {!trace} records. *)
-
-val estimate_makespan_parallel :
-  ?max_steps:int ->
-  ?releases:int array ->
-  ?availability:Suu_dyn.Churn.t ->
-  ?domains:int ->
-  ?ci_target:float ->
-  ?stop:(unit -> bool) ->
-  ?on_trial:(int -> unit) ->
-  trials:int ->
-  seed:int ->
-  Suu_core.Instance.t ->
-  Suu_core.Policy.t ->
-  estimate
-(** Multicore {!estimate_makespan_seeded}: trials are self-scheduled one
-    at a time across [domains] OCaml 5 domains (default:
-    [Domain.recommended_domain_count], capped at 8) from a shared
-    counter, so the domains stay balanced even when trial lengths vary.
-    Trial [k] draws from the same [(seed, k)]-derived generator as the
-    seeded estimator, so the summary {e and} the sample vector are a pure
-    function of [(seed, trials)] — identical at any domain count, and
-    identical to [estimate_makespan_seeded ~seed ~trials].
-
-    [stop] and [on_trial] have the same contract as in
-    {!estimate_makespan_seeded}, but may be invoked concurrently from any
-    worker domain, so they must be domain-safe; the first exception one
-    of them (or a trial) raises aborts the remaining trials and is
-    re-raised in the calling domain. The policy's [fresh] function is
-    called once per trial inside the worker domain; policies must not
-    share hidden mutable state across trials (all policies in this
-    library satisfy this).
-
-    With a [ci_target], workers self-schedule whole words instead of
-    single trials and the CI fold consumes words in index order as they
-    complete, so the stopping boundary — and hence the sample vector and
-    the [trials] count — is exactly the sequential seeded one at any
-    domain count; words already claimed beyond the boundary are
-    discarded, bounding the overshoot by the domain count. *)
+(** [estimate_makespan rng] draws one master seed from [rng] and returns
+    {!estimate_makespan_seeded} with that seed. *)

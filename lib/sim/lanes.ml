@@ -27,12 +27,12 @@ module Churn = Suu_dyn.Churn
      job-eligible state and a per-lane mass ledger, fusing the Bernoulli
      draw of each taken pair into the scan.
 
-   The kernel is distribution-equivalent to the scalar stepper, not
+   The kernel is distribution-equivalent to the naive stepper, not
    stream-equivalent: masks draw from a private splitmix stream in a
-   different order than the scalar path. [run_word_ref] (greedy only)
-   replays the scalar draw order per lane and is bit-identical to
-   [Engine.estimate_makespan_seeded] — the conformance suite pins both
-   faces. *)
+   different order than the stepper. [run_word_ref] (greedy only)
+   replays the stepper's draw order per lane and is bit-identical to
+   [Engine.run] trials on the same generators — the test suite pins
+   both faces. *)
 
 let lanes_per_word = 63
 let never = max_int
@@ -41,11 +41,16 @@ let two53 = 1 lsl 53
 (* Bernoulli(p) success threshold over 53-bit uniforms: success iff
    U < thr, which has probability exactly ceil(p * 2^53) / 2^53 — the
    same acceptance set as [Rng.float rng < p] in the scalar path. *)
-let thr_of_prob p =
+let[@inline] thr_of_prob p =
   if p <= 0. then 0
   else if p >= 1. then two53
   else begin
-    let t = Float.to_int (Float.ceil (Float.ldexp p 53)) in
+    (* [p * 2^53] is exact (a power-of-two scale) and below 2^53, where
+       truncation plus a round-up step is the exact ceiling; kept free
+       of C calls because [create] runs it once per greedy pair *)
+    let x = p *. 0x1p53 in
+    let t = Float.to_int x in
+    let t = if Float.of_int t < x then t + 1 else t in
     if t > two53 then two53 else if t < 1 then 1 else t
   end
 
@@ -189,7 +194,7 @@ type t = {
   churn : Churn.t option;
   stream : stream;
   (* cols arenas *)
-  comp : int array;  (** (job, lane) completion step; n * 63 *)
+  comp : int array;  (** (job, lane) completion step; n * 63 on DAGs *)
   start : int array;  (** per-lane eligibility start of the current job *)
   done_at : int array;  (** step histogram of completion masks; dcap *)
   mutable smax : int;  (** highest step recorded in [done_at] *)
@@ -200,7 +205,6 @@ type t = {
   marked : int array;  (** per job, lanes completed during this step *)
   marked_list : int array;
   mutable marked_cnt : int;
-  mass : float array;  (** (job, lane) ref-mode mass ledger; n * 63 *)
   mass_pos : int array;  (** per job, lanes with positive mass this step *)
   mass_dirty : int array;
   mutable mass_cnt : int;
@@ -212,7 +216,6 @@ type t = {
   remaining : int array;  (** per lane, ref-mode unfinished job count *)
   rel_ok : bool array;  (** per job, release date has arrived *)
   mup : bool array;  (** per machine, up at the current step (churn) *)
-  assign : int array;  (** (machine, lane) ref-mode assignment; m * 63 *)
 }
 
 (* Per-step combined completion probabilities of one schedule block
@@ -304,7 +307,13 @@ let create ?releases ?availability inst policy =
     | None -> (
         match Policy.greedy policy with
         | Some g when g.Policy.g_n = n && g.Policy.g_m = m ->
-            Some (Greedy { g; pair_thr = Array.map thr_of_prob g.Policy.g_probs })
+            let probs = g.Policy.g_probs in
+            let pair_thr = Array.make (Array.length probs) 0 in
+            (* a loop, not [Array.map]: no float boxing per pair *)
+            for k = 0 to Array.length probs - 1 do
+              pair_thr.(k) <- thr_of_prob probs.(k)
+            done;
+            Some (Greedy { g; pair_thr })
         | _ -> None)
   in
   match mode with
@@ -330,10 +339,11 @@ let create ?releases ?availability inst policy =
           churn = (match mode with Cols _ -> None | Greedy _ -> churn);
           stream = { s = 0 };
           comp =
-            (* only DAG instances ever touch [comp]: the writes are
-               has_succs-gated, the reads preds-gated *)
+            (* only column kernels on DAG instances ever touch [comp]:
+               the writes are has_succs-gated, the reads preds-gated *)
             Array.make
-              (if Dag.edge_count dag = 0 then 1 else max 1 (n * lanes_per_word))
+              (if is_cols && Dag.edge_count dag > 0 then n * lanes_per_word
+               else 1)
               never;
           start = Array.make lanes_per_word 0;
           done_at = Array.make (if is_cols then dcap else 1) 0;
@@ -344,7 +354,6 @@ let create ?releases ?availability inst policy =
           marked = Array.make (max n 1) 0;
           marked_list = Array.make (max n 1) 0;
           marked_cnt = 0;
-          mass = Array.make (if is_cols then 1 else max 1 (n * lanes_per_word)) 0.;
           mass_pos = Array.make (max n 1) 0;
           mass_dirty = Array.make (max n 1) 0;
           mass_cnt = 0;
@@ -356,10 +365,6 @@ let create ?releases ?availability inst policy =
           remaining = Array.make lanes_per_word 0;
           rel_ok = Array.make (max n 1) true;
           mup = Array.make (max m 1) true;
-          assign =
-            Array.make
-              (if is_cols then 1 else max 1 (m * lanes_per_word))
-              Assignment.idle_job;
         }
 
 (* --- oblivious (Cols) runtime ---------------------------------------- *)
@@ -645,8 +650,8 @@ let greedy_reset t ~lanes =
   for j = 0 to n - 1 do
     t.pred_ok.(j) <- (if Array.length t.preds.(j) = 0 then -1 else 0)
   done;
-  (* the mass ledger is kept all-zero between runs by the per-step
-     cleanup, so only the counters need resetting *)
+  (* the ref mode's mass ledger is cleared by the per-step cleanup, so
+     only the counters need resetting *)
   t.mass_cnt <- 0;
   t.marked_cnt <- 0;
   for l = 0 to lanes_per_word - 1 do
@@ -684,7 +689,7 @@ let greedy_machines_up t step =
 (* End-of-step completion: fold the marked words into done/remaining,
    record lane makespans, refresh successors' pred words. Returns the
    updated alive word. *)
-let greedy_apply_completions t ~step ~alive ~makespans =
+let greedy_apply_completions t ~mass ~step ~alive ~makespans =
   let alive = ref alive in
   for idx = 0 to t.marked_cnt - 1 do
     let j = t.marked_list.(idx) in
@@ -716,7 +721,7 @@ let greedy_apply_completions t ~step ~alive ~makespans =
   t.marked_cnt <- 0;
   for idx = 0 to t.mass_cnt - 1 do
     let j = t.mass_dirty.(idx) in
-    Array.fill t.mass (j * lanes_per_word) lanes_per_word 0.;
+    Array.fill mass (j * lanes_per_word) lanes_per_word 0.;
     t.mass_pos.(j) <- 0
   done;
   t.mass_cnt <- 0;
@@ -913,7 +918,7 @@ let run_word t ~seed ~max_steps ~lanes ~makespans =
    word-wide exactly as in [run_word], but draws are replayed per lane
    from that lane's own generator in the scalar stepper's order — the
    full assignment is built first, then machines draw in index order.
-   Lane [l]'s outcome is bit-identical to a scalar seeded trial run with
+   Lane [l]'s outcome is bit-identical to [Engine.run] with
    [rngs.(l)]. *)
 let run_word_ref t ~rngs ~max_steps ~makespans =
   let lanes = Array.length rngs in
@@ -928,6 +933,13 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
   | Greedy gk ->
       let g = gk.g in
       let m = t.m in
+      (* the ref mode's per-(job, lane) mass ledger and per-(machine,
+         lane) assignment live only for this call: the fast path needs
+         neither, so served kernels never allocate them *)
+      let mass = Array.make (max 1 (t.n * lanes_per_word)) 0. in
+      let assign =
+        Array.make (max 1 (m * lanes_per_word)) Assignment.idle_job
+      in
       greedy_reset t ~lanes;
       Array.fill makespans 0 lanes 0;
       if t.n = 0 then ()
@@ -943,7 +955,7 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
           greedy_release_due t !step;
           greedy_machines_up t !step;
           Array.fill t.free 0 m !alive;
-          Array.fill t.assign 0 (m * lanes_per_word) Assignment.idle_job;
+          Array.fill assign 0 (m * lanes_per_word) Assignment.idle_job;
           let free_left = ref m in
           let k = ref 0 in
           while !free_left > 0 && !k < npairs do
@@ -964,7 +976,7 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
                     while !h <> 0 do
                       let b = !h land (- !h) in
                       h := !h lxor b;
-                      if t.mass.(base + bit_index b) +. p <= cap then
+                      if mass.(base + bit_index b) +. p <= cap then
                         take := !take lor b
                     done
                   end;
@@ -985,8 +997,8 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
                       w := !w lxor b;
                       let l = bit_index b in
                       let o = base + l in
-                      t.mass.(o) <- t.mass.(o) +. p;
-                      t.assign.(abase + l) <- j
+                      mass.(o) <- mass.(o) +. p;
+                      assign.(abase + l) <- j
                     done
                   end
                 end
@@ -998,7 +1010,7 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
           for l = 0 to lanes - 1 do
             if !alive land (1 lsl l) <> 0 then
               for i = 0 to m - 1 do
-                let j = t.assign.((i * lanes_per_word) + l) in
+                let j = assign.((i * lanes_per_word) + l) in
                 if
                   j <> Assignment.idle_job
                   && t.marked.(j) land (1 lsl l) = 0
@@ -1016,7 +1028,9 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
                   end
               done
           done;
-          alive := greedy_apply_completions t ~step:!step ~alive:!alive ~makespans;
+          alive :=
+            greedy_apply_completions t ~mass ~step:!step ~alive:!alive
+              ~makespans;
           incr step
         done;
         let a = ref !alive in

@@ -12,16 +12,17 @@
     set of the scalar [Rng.float rng < p] — at ~log2(lanes)+2 raw draws
     per mask instead of one uniform per lane. For oblivious schedules the
     kernel processes jobs job-major and switches to per-lane geometric
-    skips (the {!Leapfrog} sampler generalised to start mid-schedule) once
+    skips (a geometric "leapfrog" over the schedule, started mid-schedule) once
     few lanes remain undecided; for greedy pair-scan regimens the MSM-ALG
     scan itself runs word-wide once per step with the draws fused in.
 
     The kernel draws from a private splitmix stream, so it is
-    {e distribution-equivalent} to the scalar engine (pinned by the
+    {e distribution-equivalent} to the naive stepper (pinned by the
     [lanes-*] conformance properties against the exact CDF oracles), not
-    stream-equivalent. {!run_word_ref} replays the scalar draw order per
-    lane and {e is} bit-identical to seeded scalar trials — the agreement
-    test that pins the lane bookkeeping itself. *)
+    stream-equivalent. {!run_word_ref} replays the stepper's draw order
+    per lane and {e is} bit-identical to {!Engine.run} trials on the same
+    generators — the agreement test that pins the lane bookkeeping
+    itself. *)
 
 type t
 (** A compiled kernel: per-policy plans plus reusable per-word arenas.
@@ -59,8 +60,8 @@ val run_word_ref :
   t -> rngs:Suu_prob.Rng.t array -> max_steps:int -> makespans:int array -> unit
 (** Scalar-order reference mode, greedy kernels only (raises
     [Invalid_argument] for oblivious ones). Lane [l] draws from
-    [rngs.(l)] in exactly the scalar stepper's order — full assignment
+    [rngs.(l)] in exactly the naive stepper's order — full assignment
     first, then machines in index order — so its outcome is bit-identical
-    to a scalar trial run with the same generator. [Array.length rngs]
+    to {!Engine.run} with the same generator. [Array.length rngs]
     gives the lane count. Test harness for the lane bookkeeping; not a
     fast path. *)

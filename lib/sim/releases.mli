@@ -1,7 +1,7 @@
 (** Typed validation of release-date vectors at the engine boundary.
 
-    Every public entry that accepts [?releases] ({!Engine}, {!Lanes},
-    {!Leapfrog}) validates through this module, so hostile input is
+    Every public entry that accepts [?releases] ({!Engine}, {!Lanes})
+    validates through this module, so hostile input is
     rejected with a structured error — mirroring
     {!Suu_core.Instance.error} — instead of an anonymous
     [Invalid_argument] or silent misbehaviour. *)

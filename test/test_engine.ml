@@ -5,6 +5,8 @@ module Rng = Suu_prob.Rng
 
 let single_job p = Instance.independent ~p:[| [| p |] |]
 
+let word = Suu_sim.Lanes.lanes_per_word
+
 let always_assign inst =
   Policy.stateless "always" (fun _ -> Array.make (Instance.m inst) 0)
 
@@ -119,7 +121,7 @@ let test_parallel_matches_sequential_stats () =
     Engine.estimate_makespan ~trials:3000 (Rng.create 9) inst policy
   in
   let par =
-    Engine.estimate_makespan_parallel ~domains:4 ~trials:3000 ~seed:9 inst
+    Engine.estimate_makespan_seeded ~domains:4 ~trials:3000 ~seed:9 inst
       policy
   in
   let diff =
@@ -143,10 +145,10 @@ let test_parallel_deterministic () =
   let inst = Instance.independent ~p:[| [| 0.4; 0.6 |] |] in
   let policy = Suu_algo.Suu_i.policy inst in
   let a =
-    Engine.estimate_makespan_parallel ~domains:3 ~trials:100 ~seed:5 inst policy
+    Engine.estimate_makespan_seeded ~domains:3 ~trials:100 ~seed:5 inst policy
   in
   let b =
-    Engine.estimate_makespan_parallel ~domains:3 ~trials:100 ~seed:5 inst policy
+    Engine.estimate_makespan_seeded ~domains:3 ~trials:100 ~seed:5 inst policy
   in
   Alcotest.(check (float 0.)) "same mean" a.Engine.stats.Suu_prob.Stats.mean
     b.Engine.stats.Suu_prob.Stats.mean
@@ -159,7 +161,7 @@ let test_parallel_identical_samples () =
   in
   let policy = Suu_algo.Suu_i.policy inst in
   let run () =
-    (Engine.estimate_makespan_parallel ~domains:3 ~trials:200 ~seed:42 inst
+    (Engine.estimate_makespan_seeded ~domains:3 ~trials:200 ~seed:42 inst
        policy)
       .Engine.samples
   in
@@ -207,36 +209,37 @@ let test_seeded_stop_interrupts () =
            (always_assign inst)
           : Engine.estimate))
 
-let test_seeded_on_trial_hook () =
+let test_seeded_on_word_hook () =
   let inst = single_job 0.5 in
   let seen = ref [] in
+  let trials = (2 * word) + 5 in
   let e =
     Engine.estimate_makespan_seeded
-      ~on_trial:(fun k -> seen := k :: !seen)
-      ~trials:7 ~seed:3 inst (always_assign inst)
+      ~on_word:(fun w -> seen := w :: !seen)
+      ~trials ~seed:3 inst (always_assign inst)
   in
-  Alcotest.(check (list int)) "once per trial, in order" [ 0; 1; 2; 3; 4; 5; 6 ]
+  Alcotest.(check (list int)) "once per word, in order" [ 0; 1; 2 ]
     (List.rev !seen);
   (* The hook is pure observation: the estimate matches a hook-free run. *)
   let plain =
-    Engine.estimate_makespan_seeded ~trials:7 ~seed:3 inst (always_assign inst)
+    Engine.estimate_makespan_seeded ~trials ~seed:3 inst (always_assign inst)
   in
-  Alcotest.(check (float 1e-12)) "estimate unperturbed"
-    plain.Engine.stats.Suu_prob.Stats.mean e.Engine.stats.Suu_prob.Stats.mean;
+  Alcotest.(check (array (float 0.))) "estimate unperturbed"
+    plain.Engine.samples e.Engine.samples;
   (* Exceptions raised by the hook propagate to the caller — the seam the
      serving layer's fault harness relies on. *)
   Alcotest.check_raises "hook exceptions escape" Exit (fun () ->
       ignore
         (Engine.estimate_makespan_seeded
-           ~on_trial:(fun k -> if k = 2 then raise Exit)
-           ~trials:10 ~seed:3 inst (always_assign inst)
+           ~on_word:(fun w -> if w = 1 then raise Exit)
+           ~trials ~seed:3 inst (always_assign inst)
           : Engine.estimate))
 
 let test_parallel_single_domain () =
   let inst = Instance.independent ~p:[| [| 0.8 |] |] in
   let policy = Suu_algo.Suu_i.policy inst in
   let e =
-    Engine.estimate_makespan_parallel ~domains:1 ~trials:50 ~seed:1 inst policy
+    Engine.estimate_makespan_seeded ~domains:1 ~trials:50 ~seed:1 inst policy
   in
   Alcotest.(check int) "trials" 50 e.Engine.trials
 
@@ -244,7 +247,7 @@ let test_parallel_more_domains_than_trials () =
   let inst = Instance.independent ~p:[| [| 0.9 |] |] in
   let policy = Suu_algo.Suu_i.policy inst in
   let e =
-    Engine.estimate_makespan_parallel ~domains:8 ~trials:3 ~seed:2 inst policy
+    Engine.estimate_makespan_seeded ~domains:8 ~trials:3 ~seed:2 inst policy
   in
   Alcotest.(check int) "all trials done" 3
     (Array.length e.Engine.samples + e.Engine.incomplete)
@@ -258,49 +261,131 @@ let pinned_instance () =
 
 let test_seeded_pinned_summary () =
   (* Golden values captured before the zero-allocation rework of the
-     stepping path. The naive stepper's Bernoulli draw sequence is part
-     of the engine's contract (the serving layer's cached answers depend
-     on it), so a seeded estimate of an adaptive policy must stay
-     bit-identical across refactors — not merely statistically close. *)
+     stepping path. The naive stepper is the engine's oracle and its
+     Bernoulli draw sequence is part of the contract, so trial [k] of
+     seed 7 — [Engine.run] on [Rng.create (trial_seed 7 k)] — must stay
+     bit-identical across refactors, not merely statistically close. *)
+  let inst = pinned_instance () in
+  let policy = Suu_algo.Suu_i.policy inst in
+  let samples =
+    Array.init 100 (fun k ->
+        let o = Engine.run (Rng.create (Engine.trial_seed 7 k)) inst policy in
+        Alcotest.(check bool) "completed" true o.Engine.completed;
+        Float.of_int o.Engine.makespan)
+  in
+  let s = Suu_prob.Stats.summarize samples in
+  Alcotest.(check (float 1e-9)) "mean" 3.89 s.Suu_prob.Stats.mean;
+  Alcotest.(check (float 1e-9)) "stddev" 1.3699148392 s.Suu_prob.Stats.stddev;
+  Alcotest.(check (float 0.)) "min" 2. s.Suu_prob.Stats.min;
+  Alcotest.(check (float 0.)) "max" 10. s.Suu_prob.Stats.max;
+  Alcotest.(check int) "count" 100 s.Suu_prob.Stats.count;
+  Alcotest.(check (array (float 0.)))
+    "samples head (trial order)"
+    [| 2.; 3.; 6.; 5.; 3.; 3.; 6.; 3.; 4.; 2. |]
+    (Array.sub samples 0 10)
+
+let test_word_seeded_pinned_summary () =
+  (* The word-seeded estimate is the served answer: word [w] of seed 7
+     runs the Lanes kernel on [trial_seed 7 w]. Pinned so any change to
+     the kernel's stream or the fold's sample order shows up here. *)
   let inst = pinned_instance () in
   let e =
     Engine.estimate_makespan_seeded ~trials:100 ~seed:7 inst
       (Suu_algo.Suu_i.policy inst)
   in
   let s = e.Engine.stats in
-  Alcotest.(check (float 1e-9)) "mean" 3.89 s.Suu_prob.Stats.mean;
-  Alcotest.(check (float 1e-9)) "stddev" 1.3699148392 s.Suu_prob.Stats.stddev;
-  Alcotest.(check (float 0.)) "min" 2. s.Suu_prob.Stats.min;
-  Alcotest.(check (float 0.)) "max" 10. s.Suu_prob.Stats.max;
+  Alcotest.(check (float 1e-9)) "mean" 4.1 s.Suu_prob.Stats.mean;
+  Alcotest.(check (float 1e-9)) "stddev" 1.6605950011 s.Suu_prob.Stats.stddev;
   Alcotest.(check int) "count" 100 s.Suu_prob.Stats.count;
   Alcotest.(check int) "incomplete" 0 e.Engine.incomplete;
   Alcotest.(check (array (float 0.)))
-    "samples head (trial order)"
-    [| 2.; 3.; 6.; 5.; 3.; 3.; 6.; 3.; 4.; 2. |]
+    "samples head (word order)"
+    [| 4.; 3.; 4.; 4.; 2.; 10.; 3.; 4.; 6.; 2. |]
     (Array.sub e.Engine.samples 0 10)
 
-let test_unseeded_samples_trial_order () =
-  (* On the scalar path, [estimate_makespan] draws its trials
-     sequentially from the given generator, so the sample vector must
-     equal back-to-back [run]s on an equally-seeded generator, in trial
-     order. (The sample order of the unseeded estimator was historically
-     reversed; this pins the fix.) The structure tag is stripped so the
-     estimator cannot take the vectorized path, whose stream is
-     different by design. *)
+let test_unseeded_is_seeded_on_drawn_seed () =
+  (* [estimate_makespan rng] is one master-seed draw plus the seeded
+     word fold, for tagged and untagged policies alike. *)
   let inst = pinned_instance () in
-  let policy =
-    let tagged = Suu_algo.Suu_i.policy inst in
-    Policy.make "suu-i-untagged" tagged.Policy.fresh
+  let tagged = Suu_algo.Suu_i.policy inst in
+  List.iter
+    (fun policy ->
+      let trials = 150 in
+      let e = Engine.estimate_makespan ~trials (Rng.create 13) inst policy in
+      let seed = Int64.to_int (Rng.int64 (Rng.create 13)) in
+      let s = Engine.estimate_makespan_seeded ~trials ~seed inst policy in
+      Alcotest.(check (array (float 0.)))
+        (policy.Policy.name ^ ": samples") s.Engine.samples e.Engine.samples)
+    [ tagged; Policy.make "suu-i-untagged" tagged.Policy.fresh ]
+
+(* The contract's headline: for kernel-served (greedy, column) and
+   naive-served (untagged) policies, with and without a ci_target, the
+   sequential estimate, its word-aligned ranges concatenated, and the
+   multi-domain fold agree bit for bit. *)
+let test_word_fold_bit_identity () =
+  let inst = pinned_instance () in
+  let greedy = Suu_algo.Suu_i.policy inst in
+  let policies =
+    [
+      greedy;
+      Policy.of_oblivious "suu-i-obl" (Suu_algo.Suu_i_obl.schedule inst);
+      Policy.make "suu-i-untagged" greedy.Policy.fresh;
+    ]
   in
-  let trials = 20 in
-  let e = Engine.estimate_makespan ~trials (Rng.create 13) inst policy in
-  let rng = Rng.create 13 in
-  let expected = Array.make trials 0. in
-  for k = 0 to trials - 1 do
-    expected.(k) <- Float.of_int (Engine.run rng inst policy).Engine.makespan
-  done;
-  Alcotest.(check (array (float 0.))) "samples in trial order" expected
-    e.Engine.samples
+  let trials = (5 * word) + 17 and seed = 99 in
+  let bits e = Array.map Int64.bits_of_float e.Engine.samples in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun ci_target ->
+          let label what =
+            Printf.sprintf "%s%s: %s" policy.Policy.name
+              (if ci_target = None then "" else " (ci_target)")
+              what
+          in
+          let seq =
+            Engine.estimate_makespan_seeded ?ci_target ~trials ~seed inst
+              policy
+          in
+          let same what e =
+            Alcotest.(check (array int64)) (label what) (bits seq) (bits e);
+            Alcotest.(check int) (label (what ^ " trials")) seq.Engine.trials
+              e.Engine.trials;
+            Alcotest.(check int)
+              (label (what ^ " incomplete"))
+              seq.Engine.incomplete e.Engine.incomplete
+          in
+          List.iter
+            (fun domains ->
+              same
+                (Printf.sprintf "%d domains" domains)
+                (Engine.estimate_makespan_seeded ?ci_target ~domains ~trials
+                   ~seed inst policy))
+            [ 1; 2; 4 ];
+          if ci_target = None then begin
+            let parts =
+              List.map
+                (fun (lo, hi) ->
+                  Engine.estimate_makespan_range ~seed ~lo ~hi inst policy)
+                [ (0, word); (word, 3 * word); (3 * word, trials) ]
+            in
+            same "ranges"
+              (Engine.merge_ranges ~max_steps:(Engine.default_horizon inst)
+                 parts)
+          end)
+        [ None; Some 0.2 ])
+    policies
+
+let test_range_rejects_unaligned_lo () =
+  let inst = pinned_instance () in
+  Alcotest.check_raises "unaligned lo"
+    (Invalid_argument
+       "Engine.estimate_makespan_range: lo must be a multiple of \
+        Lanes.lanes_per_word") (fun () ->
+      ignore
+        (Engine.estimate_makespan_range ~seed:1 ~lo:10 ~hi:100 inst
+           (Suu_algo.Suu_i.policy inst)
+          : Engine.estimate))
 
 let test_parallel_equals_seeded_any_domains () =
   (* The parallel estimator derives trial [k]'s stream from [(seed, k)]
@@ -313,7 +398,7 @@ let test_parallel_equals_seeded_any_domains () =
   List.iter
     (fun domains ->
       let par =
-        Engine.estimate_makespan_parallel ~domains ~trials ~seed inst policy
+        Engine.estimate_makespan_seeded ~domains ~trials ~seed inst policy
       in
       Alcotest.(check (array (float 0.)))
         (Printf.sprintf "samples identical at %d domains" domains)
@@ -327,31 +412,30 @@ let test_parallel_stop_interrupts () =
   let inst = single_job 0.5 in
   Alcotest.check_raises "interrupted" Engine.Interrupted (fun () ->
       ignore
-        (Engine.estimate_makespan_parallel ~domains:2
+        (Engine.estimate_makespan_seeded ~domains:2
            ~stop:(fun () -> true)
            ~trials:100 ~seed:1 inst (always_assign inst)
           : Engine.estimate))
 
-let test_parallel_on_trial_hook () =
+let test_parallel_on_word_hook () =
   let inst = single_job 0.9 in
-  let trials = 40 in
-  (* Distinct slots per trial index, so concurrent hook calls from the
+  let trials = 5 * word in
+  (* Distinct slots per word index, so concurrent hook calls from the
      worker domains never race. *)
-  let seen = Array.make trials 0 in
+  let seen = Array.make 5 0 in
   let e =
-    Engine.estimate_makespan_parallel ~domains:3
-      ~on_trial:(fun k -> seen.(k) <- seen.(k) + 1)
+    Engine.estimate_makespan_seeded ~domains:3
+      ~on_word:(fun w -> seen.(w) <- seen.(w) + 1)
       ~trials ~seed:5 inst (always_assign inst)
   in
   Alcotest.(check int) "trials" trials e.Engine.trials;
   Array.iteri
-    (fun k c ->
-      Alcotest.(check int) (Printf.sprintf "trial %d hooked once" k) 1 c)
+    (fun w c -> Alcotest.(check int) (Printf.sprintf "word %d hooked once" w) 1 c)
     seen;
   Alcotest.check_raises "hook exceptions escape" Exit (fun () ->
       ignore
-        (Engine.estimate_makespan_parallel ~domains:2
-           ~on_trial:(fun k -> if k = 7 then raise Exit)
+        (Engine.estimate_makespan_seeded ~domains:2
+           ~on_word:(fun w -> if w = 3 then raise Exit)
            ~trials ~seed:5 inst (always_assign inst)
           : Engine.estimate))
 
@@ -467,7 +551,7 @@ let test_release_typed_validation () =
        (Suu_sim.Releases.error_to_string
           (Suu_sim.Releases.Length_mismatch { expected = 1; got = 2 }))
     > 0);
-  (* the estimators and the vectorized/leapfrog boundaries reject too *)
+  (* the estimators and the vectorized kernel's boundary reject too *)
   let expect_invalid label f =
     match f () with
     | exception Suu_sim.Releases.Invalid _ -> ()
@@ -488,12 +572,7 @@ let test_release_typed_validation () =
         (Suu_sim.Lanes.create ~releases:bad_neg inst
            (Suu_core.Policy.of_oblivious "sched"
               (Suu_core.Oblivious.create ~m:1 ~cycle:[| [| 0 |] |] [||]))
-          : Suu_sim.Lanes.t option));
-  expect_invalid "leapfrog" (fun () ->
-      ignore
-        (Suu_sim.Leapfrog.prepare ~releases:bad_len inst
-           (Suu_core.Oblivious.create ~m:1 ~cycle:[| [| 0 |] |] [||])
-          : Suu_sim.Leapfrog.t))
+          : Suu_sim.Lanes.t option))
 
 let prop_releases_only_delay =
   QCheck.Test.make ~name:"release dates never speed things up (mean)" ~count:10
@@ -593,20 +672,26 @@ let () =
             test_seeded_matches_sequential_stats;
           Alcotest.test_case "stop interrupts" `Quick
             test_seeded_stop_interrupts;
-          Alcotest.test_case "on_trial hook" `Quick test_seeded_on_trial_hook;
+          Alcotest.test_case "on_word hook" `Quick test_seeded_on_word_hook;
         ] );
       ( "hot path",
         [
           Alcotest.test_case "pinned seeded summary" `Quick
             test_seeded_pinned_summary;
-          Alcotest.test_case "unseeded samples in trial order" `Quick
-            test_unseeded_samples_trial_order;
+          Alcotest.test_case "pinned word-seeded summary" `Quick
+            test_word_seeded_pinned_summary;
+          Alcotest.test_case "unseeded = seeded on a drawn seed" `Quick
+            test_unseeded_is_seeded_on_drawn_seed;
+          Alcotest.test_case "word fold bit identity" `Quick
+            test_word_fold_bit_identity;
+          Alcotest.test_case "range rejects unaligned lo" `Quick
+            test_range_rejects_unaligned_lo;
           Alcotest.test_case "parallel = seeded at any domain count" `Quick
             test_parallel_equals_seeded_any_domains;
           Alcotest.test_case "parallel stop interrupts" `Quick
             test_parallel_stop_interrupts;
-          Alcotest.test_case "parallel on_trial hook" `Quick
-            test_parallel_on_trial_hook;
+          Alcotest.test_case "parallel on_word hook" `Quick
+            test_parallel_on_word_hook;
         ] );
       ( "releases",
         [

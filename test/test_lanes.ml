@@ -1,8 +1,8 @@
-(* The trial-batched vectorized kernel: [estimate_makespan] dispatches to
-   it for structurally tagged policies (greedy pair scans and oblivious
+(* The trial-batched vectorized kernel: every estimator runs it for
+   structurally tagged policies (greedy pair scans and oblivious
    schedules), and its makespans must be distribution-equivalent to the
-   scalar paths. The greedy kernel additionally has a scalar-order ref
-   mode that must be bit-identical to the scalar stepper, which pins the
+   naive stepper's. The greedy kernel additionally has a stepper-order
+   ref mode that must be bit-identical to [Engine.run], which pins the
    word-wide bookkeeping (free/eligible/mass/marked words) exactly. *)
 
 module Instance = Suu_core.Instance
@@ -126,8 +126,9 @@ let test_vectorized_deterministic () =
 
 let test_matches_scalar_stats () =
   (* Statistical cross-check on an instance too big for the exact chain:
-     vectorized and scalar means over independent trial sets must agree
-     within a generous CLT tolerance, for both kernels. *)
+     kernel and naive-stepper (untagged) means over independent trial
+     sets must agree within a generous CLT tolerance, for both kernel
+     modes. *)
   let rng = Rng.create 2027 in
   let inst =
     Instance.independent
@@ -162,7 +163,8 @@ let test_matches_scalar_stats () =
     (Engine.estimate_makespan ~trials (Rng.create 43) inst
        (Policy.of_oblivious "obl" sched))
     (Engine.estimate_makespan_seeded ~trials ~seed:44 inst
-       (Policy.of_oblivious "obl" sched))
+       (Policy.stateless "untagged" (fun st ->
+            Oblivious.step sched st.Policy.step)))
 
 (* --- CI-width sequential stopping ------------------------------------ *)
 
@@ -227,7 +229,7 @@ let test_ci_parallel_equals_seeded () =
   List.iter
     (fun domains ->
       let par =
-        Engine.estimate_makespan_parallel ~domains ~ci_target:0.3
+        Engine.estimate_makespan_seeded ~domains ~ci_target:0.3
           ~trials:50_000 ~seed:77 inst policy
       in
       Alcotest.(check int)
@@ -244,13 +246,13 @@ let test_ci_range_relative_to_lo () =
   let inst = mixed_inst () in
   let policy = Suu_algo.Suu_i.policy inst in
   let e =
-    Engine.estimate_makespan_range ~ci_target:0.3 ~seed:5 ~lo:10 ~hi:50_000
+    Engine.estimate_makespan_range ~ci_target:0.3 ~seed:5 ~lo:word ~hi:50_000
       inst policy
   in
-  Alcotest.(check bool) "stopped early" true (e.Engine.trials < 49_990);
+  Alcotest.(check bool) "stopped early" true (e.Engine.trials < 50_000 - word);
   Alcotest.(check int) "boundary relative to lo" 0 (e.Engine.trials mod word);
   let again =
-    Engine.estimate_makespan_range ~ci_target:0.3 ~seed:5 ~lo:10 ~hi:50_000
+    Engine.estimate_makespan_range ~ci_target:0.3 ~seed:5 ~lo:word ~hi:50_000
       inst policy
   in
   Alcotest.(check int) "deterministic" e.Engine.trials again.Engine.trials
@@ -280,14 +282,14 @@ let test_merge_early_stopped_partial_counts () =
   let inst = mixed_inst () in
   let policy = Suu_algo.Suu_i.policy inst in
   let full =
-    Engine.estimate_makespan_range ~seed:5 ~lo:0 ~hi:100 inst policy
+    Engine.estimate_makespan_range ~seed:5 ~lo:0 ~hi:(2 * word) inst policy
   in
   let stopped =
-    Engine.estimate_makespan_range ~ci_target:0.3 ~seed:5 ~lo:100 ~hi:50_000
-      inst policy
+    Engine.estimate_makespan_range ~ci_target:0.3 ~seed:5 ~lo:(2 * word)
+      ~hi:50_000 inst policy
   in
   Alcotest.(check bool) "second part stopped early" true
-    (stopped.Engine.trials < 49_900);
+    (stopped.Engine.trials < 50_000 - (2 * word));
   let m =
     Engine.merge_ranges ~max_steps:(Engine.default_horizon inst)
       [ full; stopped ]

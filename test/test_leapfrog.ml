@@ -1,8 +1,9 @@
-(* The geometric-leapfrog fast path for oblivious schedules: the engine
-   dispatches to it whenever a policy carries an [Oblivious_schedule]
-   structure tag, and its makespans must be distribution-equivalent to
-   the naive unit-step stepper's (they draw different RNG streams, so
-   the equivalence is in law, not bit-for-bit). *)
+(* The fast path for oblivious schedules: the engine runs a policy that
+   carries an [Oblivious_schedule] structure tag through the Lanes
+   kernel's column mode (geometric leapfrog skips over the schedule),
+   and its makespans must be distribution-equivalent to the naive
+   unit-step stepper's (they draw different RNG streams, so the
+   equivalence is in law, not bit-for-bit). *)
 
 module Instance = Suu_core.Instance
 module Oblivious = Suu_core.Oblivious

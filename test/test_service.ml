@@ -258,25 +258,35 @@ let test_request_ping_and_duplicates () =
 let test_request_range () =
   let line range =
     Printf.sprintf
-      {|{"op":"solve","id":"r","trials":40,"seed":5%s,"instance":"%s"}|}
+      {|{"op":"solve","id":"r","trials":150,"seed":5%s,"instance":"%s"}|}
       range
       (String.concat "\\n" (String.split_on_char '\n' instance_text))
   in
-  (match decode (line {|,"range":[8,24]|}) with
-  | Ok { op = Request.Solve { range = Some (8, 24); _ }; _ } -> ()
+  (match decode (line {|,"range":[63,126]|}) with
+  | Ok { op = Request.Solve { range = Some (63, 126); _ }; _ } -> ()
   | Ok _ -> Alcotest.fail "range not decoded"
   | Error (msg, _) -> Alcotest.fail msg);
-  (* Out-of-range or malformed ranges are rejected with the id kept. *)
+  (* A range may end at [trials] off a word boundary: the estimate's
+     last, partial word. *)
+  (match decode (line {|,"range":[126,150]|}) with
+  | Ok { op = Request.Solve { range = Some (126, 150); _ }; _ } -> ()
+  | Ok _ -> Alcotest.fail "tail range not decoded"
+  | Error (msg, _) -> Alcotest.fail msg);
+  (* Out-of-range, unaligned or malformed ranges are rejected with the
+     id kept. *)
   List.iter
     (fun r ->
       match decode (line r) with
       | Error (_, Some "r") -> ()
       | _ -> Alcotest.fail ("hostile range accepted: " ^ r))
     [
-      {|,"range":[24,8]|};
-      {|,"range":[8,8]|};
-      {|,"range":[-1,8]|};
-      {|,"range":[0,41]|};
+      {|,"range":[126,63]|};
+      {|,"range":[63,63]|};
+      {|,"range":[-63,63]|};
+      {|,"range":[0,151]|};
+      {|,"range":[8,63]|};
+      {|,"range":[0,100]|};
+      {|,"range":[1,150]|};
       {|,"range":[0]|};
       {|,"range":"x"|};
     ];
@@ -287,22 +297,22 @@ let test_request_range () =
     | Ok req -> Request.cache_key req
     | Error (msg, _) -> Alcotest.fail msg
   in
-  let full = key "" and a = key {|,"range":[0,8]|} and b = key {|,"range":[8,24]|} in
+  let full = key "" and a = key {|,"range":[0,63]|} and b = key {|,"range":[63,126]|} in
   Alcotest.(check bool) "ranged is cacheable" true (a <> None);
   Alcotest.(check bool) "range changes the key" true (full <> a);
   Alcotest.(check bool) "distinct ranges, distinct keys" true (a <> b);
-  Alcotest.(check (option string)) "same range, same key" a (key {|,"range":[0,8]|});
+  Alcotest.(check (option string)) "same range, same key" a (key {|,"range":[0,63]|});
   (* sub_line re-encodes a Monte-Carlo request as its range sub-job:
      same semantics, just a narrower trial window. *)
   match decode (line "") with
   | Error (msg, _) -> Alcotest.fail msg
   | Ok req -> (
-      let sub = Request.sub_line req ~lo:8 ~hi:24 in
+      let sub = Request.sub_line req ~lo:63 ~hi:126 in
       match decode sub with
       | Ok { id; op = Request.Solve { range; trials; seed; _ }; _ } ->
           Alcotest.(check (option string)) "sub keeps id" (Some "r") id;
-          Alcotest.(check bool) "sub range" true (range = Some (8, 24));
-          Alcotest.(check int) "sub trials" 40 trials;
+          Alcotest.(check bool) "sub range" true (range = Some (63, 126));
+          Alcotest.(check int) "sub trials" 150 trials;
           Alcotest.(check int) "sub seed" 5 seed;
           Alcotest.(check (option string)) "sub key = ranged key" b
             (Request.cache_key
@@ -430,7 +440,7 @@ let test_request_dyn_fields () =
   match decode (line {|,"releases":[0,3],"churn":"rate=0.2,seed=3"|}) with
   | Error (msg, _) -> Alcotest.fail msg
   | Ok req -> (
-      let sub = Request.sub_line req ~lo:0 ~hi:16 in
+      let sub = Request.sub_line req ~lo:0 ~hi:40 in
       match decode sub with
       | Ok
           {
@@ -441,9 +451,9 @@ let test_request_dyn_fields () =
           Alcotest.(check string) "sub re-encodes the spec canonically"
             "seed=3,rate=0.2,repair=8,perm=0,steps=256"
             (Suu_dyn.Churn.spec_of_params p);
-          Alcotest.(check bool) "sub range" true (range = Some (0, 16));
+          Alcotest.(check bool) "sub range" true (range = Some (0, 40));
           Alcotest.(check string) "canonical form is a fixed point" sub
-            (Request.sub_line (Result.get_ok (decode sub)) ~lo:0 ~hi:16)
+            (Request.sub_line (Result.get_ok (decode sub)) ~lo:0 ~hi:40)
       | Ok _ -> Alcotest.fail "sub_line dropped the dyn fields"
       | Error (msg, _) -> Alcotest.fail ("sub_line does not re-decode: " ^ msg))
 
@@ -492,10 +502,10 @@ let test_request_ci_target () =
   match decode (line {|,"ci_target":0.25|}) with
   | Error (msg, _) -> Alcotest.fail msg
   | Ok req -> (
-      match decode (Request.sub_line req ~lo:0 ~hi:20) with
+      match decode (Request.sub_line req ~lo:0 ~hi:40) with
       | Ok { op = Request.Solve { ci_target = Some w; range; _ }; _ } ->
           Alcotest.(check (float 0.)) "sub keeps target" 0.25 w;
-          Alcotest.(check bool) "sub range" true (range = Some (0, 20))
+          Alcotest.(check bool) "sub range" true (range = Some (0, 40))
       | _ -> Alcotest.fail "sub_line dropped the ci_target")
 
 let test_cache_key_semantics () =
@@ -511,6 +521,23 @@ let test_cache_key_semantics () =
   in
   let k = key (line 50 1 instance_text) in
   Alcotest.(check bool) "cacheable" true (k <> None);
+  (* [cacheable] is the digest-free answer to "does it have a key?" *)
+  List.iter
+    (fun l ->
+      match decode l with
+      | Ok req ->
+          Alcotest.(check bool) ("cacheable iff keyed: " ^ l)
+            (Request.cache_key req <> None) (Request.cacheable req)
+      | Error (msg, _) -> Alcotest.fail msg)
+    [
+      line 50 1 instance_text;
+      Printf.sprintf {|{"op":"exact","instance":"%s"}|}
+        (String.concat "\\n" (String.split_on_char '\n' instance_text));
+      Printf.sprintf {|{"op":"info","instance":"%s"}|}
+        (String.concat "\\n" (String.split_on_char '\n' instance_text));
+      {|{"op":"ping"}|};
+      {|{"op":"stats"}|};
+    ];
   Alcotest.(check (option string)) "same request, same key" k
     (key (line 50 1 instance_text));
   Alcotest.(check bool) "trials change the key" true
@@ -736,14 +763,14 @@ let test_service_ping_and_range_subjobs () =
      half of the sharding coordinator's fan-out contract. *)
   let solve range =
     Printf.sprintf
-      {|{"op":"solve","id":"s","trials":40,"seed":5%s,"instance":"%s"}|}
+      {|{"op":"solve","id":"s","trials":100,"seed":5%s,"instance":"%s"}|}
       range (escaped instance_text)
   in
   let lines =
     [
       {|{"op":"ping","id":"p"}|};
-      solve {|,"range":[0,13]|};
-      solve {|,"range":[13,40]|};
+      solve {|,"range":[0,63]|};
+      solve {|,"range":[63,100]|};
       solve "";
     ]
   in
@@ -760,12 +787,12 @@ let test_service_ping_and_range_subjobs () =
   in
   Alcotest.(check (option bool)) "partial marked" (Some true)
     (Option.bind (field "partial" (List.nth out 1)) Json.to_bool);
-  Alcotest.(check (option int)) "lo echoed" (Some 13)
+  Alcotest.(check (option int)) "lo echoed" (Some 63)
     (Option.bind (field "lo" (List.nth out 2)) Json.to_int);
   let inst = Suu_harness.Io.of_string instance_text in
   let policy = Suu_algo.Suu_i.policy inst in
   let full =
-    Suu_sim.Engine.estimate_makespan_seeded ~trials:40 ~seed:5 inst policy
+    Suu_sim.Engine.estimate_makespan_seeded ~trials:100 ~seed:5 inst policy
   in
   let full_bits =
     Array.to_list (Array.map Int64.bits_of_float full.Suu_sim.Engine.samples)
@@ -780,6 +807,32 @@ let test_service_ping_and_range_subjobs () =
     (Option.map
        (Printf.sprintf "%.12g")
        (Option.bind (field "mean" (List.nth out 3)) Json.to_num))
+
+let test_service_zero_capacity_cache () =
+  (* A zero-capacity cache never computes a key, yet answers exactly as
+     a cache that happens to miss: "cached":false on every cacheable
+     answer, a counted miss per lookup, no field on uncacheable ops. *)
+  let solve =
+    Printf.sprintf {|{"op":"solve","id":"s","trials":70,"seed":4,"instance":"%s"}|}
+      (escaped instance_text)
+  in
+  let info =
+    Printf.sprintf {|{"op":"info","id":"i","instance":"%s"}|}
+      (escaped instance_text)
+  in
+  let run capacity =
+    Service.run_lines
+      { (config ~workers:1) with Service.cache_capacity = capacity }
+      [ solve; info; solve ]
+  in
+  let off, r_off = run 0 and on, _ = run 16 in
+  Alcotest.(check (list string)) "first answers identical"
+    [ List.nth on 0; List.nth on 1 ]
+    [ List.nth off 0; List.nth off 1 ];
+  Alcotest.(check string) "repeat recomputed identically" (List.nth off 0)
+    (List.nth off 2);
+  Alcotest.(check int) "misses counted" 2 r_off.Service.cache_misses;
+  Alcotest.(check int) "no hits" 0 r_off.Service.cache_hits
 
 let test_service_plan_mismatch_rejected () =
   let plan = Suu_core.Oblivious.finite ~m:3 [| [| 0; 1; 0 |] |] in
@@ -1248,8 +1301,8 @@ let test_service_degraded_admission () =
     (Option.bind (field "degraded" (List.nth out'' 0)) Json.to_bool)
 
 let test_service_stall_timeout () =
-  (* A stalled trial burns the request's deadline; the next inter-trial
-     poll must catch it and answer "timeout" rather than hang. *)
+  (* A stalled word 0 burns the request's deadline; the poll before
+     word 1 must catch it and answer "timeout" rather than hang. *)
   let cfg =
     {
       (config ~workers:1) with
@@ -1259,7 +1312,7 @@ let test_service_stall_timeout () =
   in
   let line =
     Printf.sprintf
-      {|{"op":"solve","id":"r0","trials":30,"seed":1,"deadline_ms":5,"instance":"%s"}|}
+      {|{"op":"solve","id":"r0","trials":126,"seed":1,"deadline_ms":5,"instance":"%s"}|}
       (escaped instance_text)
   in
   let out, report = Service.run_lines cfg [ line ] in
@@ -1386,6 +1439,8 @@ let () =
             test_service_estimate_domains_bit_identical;
           Alcotest.test_case "ci_target stops early" `Quick
             test_service_ci_target_stops_early;
+          Alcotest.test_case "zero-capacity cache" `Quick
+            test_service_zero_capacity_cache;
           Alcotest.test_case "plan mismatch" `Quick
             test_service_plan_mismatch_rejected;
           Alcotest.test_case "queue full rejects" `Quick

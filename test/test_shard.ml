@@ -237,17 +237,30 @@ let test_dispatch_plan_partitions () =
     [ (40, 8); (41, 8); (1, 8); (7, 100); (100, 1) ]
 
 let test_dispatch_auto_chunk () =
-  List.iter
-    (fun (trials, shards) ->
+  (* Every planned range must be a run of whole Monte-Carlo words: [lo]
+     word-aligned, [hi] word-aligned or the end of the estimate. *)
+  let word = Suu_sim.Lanes.lanes_per_word in
+  for trials = 1 to 500 do
+    for shards = 1 to 8 do
       let chunk = Dispatch.auto_chunk ~trials ~shards in
-      Alcotest.(check bool) "positive" true (chunk >= 1);
-      let jobs = List.length (Dispatch.plan ~trials ~chunk) in
+      Alcotest.(check int) "chunk is whole words" 0 (chunk mod word);
+      Alcotest.(check bool) "at least one word" true (chunk >= word);
+      let ranges = Dispatch.plan ~trials ~chunk in
+      List.iter
+        (fun (lo, hi) ->
+          if lo mod word <> 0 || (hi mod word <> 0 && hi <> trials) then
+            Alcotest.failf "trials=%d shards=%d: range [%d,%d) not aligned"
+              trials shards lo hi)
+        ranges;
       (* About four chunks per shard: enough jobs to rebalance, never
-         more than trials. *)
+         more than the estimate has words. *)
+      let words = (trials + word - 1) / word in
+      let jobs = List.length ranges in
       Alcotest.(check bool) "work to steal" true
-        (jobs >= min trials (2 * shards));
-      Alcotest.(check bool) "bounded" true (jobs <= min trials (8 * shards)))
-    [ (400, 2); (400, 4); (40, 2); (3, 8); (1, 1) ]
+        (jobs >= min words (2 * shards));
+      Alcotest.(check bool) "bounded" true (jobs <= min words (4 * shards))
+    done
+  done
 
 let test_dispatch_invalid_args () =
   let raises f =
