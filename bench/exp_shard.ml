@@ -1,27 +1,16 @@
 (* EXP-SHARD: throughput of the sharded coordinator (lib/shard) vs
    shard count.
 
-   Two mechanisms, measured separately:
-
-   (1) Cache-capacity scaling. Whole requests route by consistent
-   hashing on the result-cache key, so N shards hold N disjoint LRU
-   slices — the fleet's effective cache is the sum. The workload cycles
-   a working set of distinct heavy solves that overflows one shard's
+   Cache-capacity scaling. Requests route whole by consistent hashing
+   on the result-cache key, so N shards hold N disjoint LRU slices —
+   the fleet's effective cache is the sum. The workload cycles a
+   working set of distinct heavy solves that overflows one shard's
    cache but fits two: one shard recomputes every round (a cyclic scan
    through an LRU never hits), two shards answer rounds 2..R from
-   memory. This is the win that survives a single hardware thread,
-   where the CI gate (>= 1.7x at 2 shards) lives.
+   memory. This is the win that survives a single hardware thread. CI
+   asserts the hit signature (168 hits at 2 shards), not the timing.
 
-   (2) Trial-range fan-out. Large Monte-Carlo requests split into
-   sub-jobs spread across the fleet. The merge is bit-identical at any
-   shard count; the speedup is CPU-bound, so on a single hardware
-   thread it measures pure coordination overhead (reported honestly —
-   on a multi-core host this row scales with the shards). An opt-in
-   variant (SUU_BENCH_SHARD_DOMAINS=<d>) reruns the fan-out with d
-   estimate domains inside every worker, composing process-level
-   sharding with in-process domain parallelism.
-
-   Results: the usual tables plus a BENCH_SHARD.json artifact (path
+   Results: the usual table plus a BENCH_SHARD.json artifact (path
    overridable via SUU_BENCH_SHARD_JSON) for CI upload. *)
 
 module Rng = Suu_prob.Rng
@@ -51,7 +40,7 @@ let solve ~id ~trials ~seed text =
     {|{"op":"solve","id":"%s","trials":%d,"seed":%d,"instance":"%s"}|} id
     trials seed text
 
-let worker_config ?(domains = 1) ~cache () =
+let worker_config ~cache =
   {
     Service.default_config with
     Service.workers = 1;
@@ -60,24 +49,18 @@ let worker_config ?(domains = 1) ~cache () =
     default_trials = 100;
     default_seed = 1;
     default_deadline_ms = None;
-    estimate_domains = domains;
   }
 
-let coord_config ~shards ~split_threshold =
-  {
-    Coordinator.default_config with
-    Coordinator.shards;
-    split_threshold;
-    heartbeat_ms = None;
-  }
+let coord_config ~shards =
+  { Coordinator.default_config with Coordinator.shards; heartbeat_ms = None }
 
-let timed ?domains cfg ~cache lines =
-  let spawn i = Client.local ~id:i (worker_config ?domains ~cache ()) in
+let timed cfg ~cache lines =
+  let spawn i = Client.local ~id:i (worker_config ~cache) in
   let start = Unix.gettimeofday () in
-  let responses, report = Coordinator.run_lines cfg ~spawn lines in
+  let responses, _ = Coordinator.run_lines cfg ~spawn lines in
   let elapsed = Unix.gettimeofday () -. start in
   assert (List.length responses = List.length lines);
-  (elapsed, responses, report)
+  (elapsed, responses)
 
 (* The fleet's summed cache counters, from the merged stats response
    (the last line of the run). *)
@@ -95,12 +78,8 @@ let fleet_cache_counts last_line =
 let run () =
   Bench_common.section "EXP-SHARD: sharded coordinator scaling";
   let trials = Bench_common.trials in
-  Bench_common.note
-    "recommended_domain_count: %d (on a single hardware thread only the \
-     cache-capacity mechanism can show scaling; fan-out rows measure \
-     coordination overhead there)"
+  Bench_common.note "recommended_domain_count: %d"
     (Domain.recommended_domain_count ());
-  (* --- cache-capacity scaling --- *)
   (* Heavy enough per solve that recompute dwarfs per-request overhead:
      the contrast under test is cache hit vs recompute, not codec
      throughput. *)
@@ -122,10 +101,8 @@ let run () =
   let capacity =
     List.map
       (fun shards ->
-        let elapsed, responses, _ =
-          timed
-            (coord_config ~shards ~split_threshold:0)
-            ~cache cache_lines
+        let elapsed, responses =
+          timed (coord_config ~shards) ~cache cache_lines
         in
         let hits, misses =
           fleet_cache_counts (List.nth responses (requests))
@@ -155,90 +132,6 @@ let run () =
            Printf.sprintf "%.2f" (rps /. base_rps);
          ])
        capacity);
-  (* --- trial-range fan-out --- *)
-  let big = 6 and big_trials = trials * 8 in
-  let fan_lines =
-    List.mapi
-      (fun k text ->
-        solve ~id:(Printf.sprintf "f%d" k) ~trials:big_trials ~seed:(k + 1)
-          text)
-      (List.filteri (fun k _ -> k < big) set)
-  in
-  let fanout =
-    List.map
-      (fun shards ->
-        let elapsed, _, report =
-          timed
-            (coord_config ~shards ~split_threshold:64)
-            ~cache:0 fan_lines
-        in
-        (shards, elapsed, report.Coordinator.subjobs))
-      [ 1; 2; 4 ]
-  in
-  Bench_common.table
-    ~title:
-      (Printf.sprintf "trial-range fan-out (%d solves x %d trials, split)"
-         big big_trials)
-    ~header:[ "shards"; "elapsed s"; "sub-jobs"; "req/s" ]
-    (List.map
-       (fun (s, elapsed, subjobs) ->
-         [
-           string_of_int s;
-           Printf.sprintf "%.3f" elapsed;
-           string_of_int subjobs;
-           Printf.sprintf "%.1f" (Float.of_int big /. elapsed);
-         ])
-       fanout);
-  (* --- multi-core fan-out (opt-in) --- *)
-  (* Shards x in-worker estimate domains. Off by default: on a
-     single-thread CI runner every configuration shares one core, so
-     the row would only measure domain overhead. Opt in on a multi-core
-     host with SUU_BENCH_SHARD_DOMAINS=<d>; the table reports the
-     actual hardware parallelism alongside so a 1-thread result reads
-     as what it is. *)
-  let domains =
-    match Sys.getenv_opt "SUU_BENCH_SHARD_DOMAINS" with
-    | Some v -> ( match int_of_string_opt v with Some d when d > 1 -> Some d | _ -> None)
-    | None -> None
-  in
-  let fanout_domains =
-    match domains with
-    | None ->
-        Bench_common.note
-          "multi-core fan-out row skipped (set SUU_BENCH_SHARD_DOMAINS=<d> on \
-           a multi-core host to enable)";
-        []
-    | Some d ->
-        let rows =
-          List.map
-            (fun shards ->
-              let elapsed, _, report =
-                timed ~domains:d
-                  (coord_config ~shards ~split_threshold:64)
-                  ~cache:0 fan_lines
-              in
-              (shards, elapsed, report.Coordinator.subjobs))
-            [ 1; 2; 4 ]
-        in
-        Bench_common.table
-          ~title:
-            (Printf.sprintf
-               "multi-core fan-out (%d solves x %d trials, %d domains per \
-                worker, %d hardware threads)"
-               big big_trials d
-               (Domain.recommended_domain_count ()))
-          ~header:[ "shards"; "elapsed s"; "sub-jobs"; "req/s" ]
-          (List.map
-             (fun (s, elapsed, subjobs) ->
-               [
-                 string_of_int s;
-                 Printf.sprintf "%.3f" elapsed;
-                 string_of_int subjobs;
-                 Printf.sprintf "%.1f" (Float.of_int big /. elapsed);
-               ])
-             rows);
-        rows
-  in
   (* --- artifact --- *)
   let speedup2 =
     match capacity with
@@ -248,7 +141,7 @@ let run () =
   let doc =
     Json.Obj
       [
-        ("schema", Json.Str "suu-bench-shard/1");
+        ("schema", Json.Str "suu-bench-shard/2");
         ("trials", Json.int trials);
         ("heavy_trials", Json.int heavy_trials);
         ("distinct", Json.int distinct);
@@ -271,30 +164,6 @@ let run () =
                    ])
                capacity) );
         ("speedup_2_shards", Json.Num speedup2);
-        ( "fanout",
-          Json.List
-            (List.map
-               (fun (s, elapsed, subjobs) ->
-                 Json.Obj
-                   [
-                     ("shards", Json.int s);
-                     ("elapsed_s", Json.Num elapsed);
-                     ("subjobs", Json.int subjobs);
-                   ])
-               fanout) );
-        ( "fanout_domains_per_worker",
-          Json.int (Option.value ~default:1 domains) );
-        ( "fanout_domains",
-          Json.List
-            (List.map
-               (fun (s, elapsed, subjobs) ->
-                 Json.Obj
-                   [
-                     ("shards", Json.int s);
-                     ("elapsed_s", Json.Num elapsed);
-                     ("subjobs", Json.int subjobs);
-                   ])
-               fanout_domains) );
       ]
   in
   let path =

@@ -553,34 +553,13 @@ let coordinator_cmd =
       & info [ "replicas" ] ~docv:"R"
           ~doc:"Consistent-hash ring virtual nodes per shard.")
   in
-  let split_arg =
-    let doc =
-      "Split Monte-Carlo requests with at least this many trials into \
-       trial-range sub-jobs fanned out across shards (0 disables \
-       splitting; merged answers are bit-identical either way)."
-    in
-    Arg.(value & opt int 64 & info [ "split-threshold" ] ~docv:"T" ~doc)
-  in
-  let chunk_arg =
-    let doc =
-      "Trials per sub-job: a multiple of 63, the Monte-Carlo word (0 = \
-       about four chunks per shard)."
-    in
-    Arg.(value & opt int 0 & info [ "chunk" ] ~docv:"K" ~doc)
-  in
-  let sub_inflight_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "sub-inflight" ] ~docv:"N"
-          ~doc:"Outstanding sub-jobs per shard.")
-  in
   let retries_arg =
     Arg.(
       value & opt int 2
       & info [ "retries" ] ~docv:"N"
           ~doc:
-            "Re-dispatches (to a surviving shard) per request or sub-job \
-             lost with its shard.")
+            "Re-dispatches (to a surviving shard) per request lost with \
+             its shard.")
   in
   let heartbeat_arg =
     let doc = "Shard heartbeat period in milliseconds (0 disables)." in
@@ -645,8 +624,7 @@ let coordinator_cmd =
     let doc =
       "Default CI-width stopping target for Monte-Carlo requests that omit \
        \"ci_target\" (see suu serve --ci-target). Forwarded to every \
-       spawned shard so whole-request forwards and trial-range sub-jobs \
-       stop by the same rule."
+       spawned shard, which applies it to the requests it is sent."
     in
     Arg.(
       value & opt (some float) None & info [ "ci-target" ] ~docv:"W" ~doc)
@@ -656,22 +634,13 @@ let coordinator_cmd =
       value & flag
       & info [ "q"; "quiet" ] ~doc:"Suppress the shutdown metrics dump.")
   in
-  let run shards replicas split_threshold chunk sub_inflight retries
-      heartbeat_ms transport respawn_budget workers queue cache trials seed
+  let run shards replicas retries heartbeat_ms transport respawn_budget workers queue cache trials seed
       deadline ci_target fault_spec worker_fault_spec quiet =
     (match ci_target with
     | Some w when w <= 0. ->
         Printf.eprintf "suu coordinator: --ci-target must be > 0\n";
         exit 2
     | _ -> ());
-    let word = Suu_sim.Lanes.lanes_per_word in
-    if chunk > 0 && chunk mod word <> 0 then begin
-      Printf.eprintf
-        "suu coordinator: --chunk must be a multiple of %d (sub-jobs are \
-         whole Monte-Carlo words)\n"
-        word;
-      exit 2
-    end;
     let module Coordinator = Suu_shard.Coordinator in
     let module Fault = Suu_service.Fault in
     let default_seed =
@@ -727,9 +696,6 @@ let coordinator_cmd =
       {
         Coordinator.shards = max 1 shards;
         replicas = max 1 replicas;
-        split_threshold = max 0 split_threshold;
-        chunk_trials = max 0 chunk;
-        sub_inflight = max 1 sub_inflight;
         retries = max 0 retries;
         retry_backoff_ms =
           Coordinator.default_config.Coordinator.retry_backoff_ms;
@@ -753,8 +719,8 @@ let coordinator_cmd =
   in
   let term =
     Term.(
-      const run $ shards_arg $ replicas_arg $ split_arg $ chunk_arg
-      $ sub_inflight_arg $ retries_arg $ heartbeat_arg $ transport_arg
+      const run $ shards_arg $ replicas_arg $ retries_arg $ heartbeat_arg
+      $ transport_arg
       $ respawn_budget_arg $ workers_arg $ queue_arg $ cache_arg $ trials_arg
       $ seed_arg $ deadline_arg $ ci_target_arg $ fault_arg $ worker_fault_arg
       $ quiet_arg)
@@ -763,10 +729,9 @@ let coordinator_cmd =
     (Cmd.info "coordinator"
        ~doc:
          "Serve scheduling requests by sharding them across worker \
-          processes: whole requests route by consistent hashing on the \
-          result-cache key, large Monte-Carlo requests split into \
-          trial-range sub-jobs merged bit-identically, and worker loss is \
-          retried on surviving shards")
+          processes: every request routes whole by consistent hashing on \
+          the result-cache key (answers byte-identical to one suu serve), \
+          and worker loss is retried on surviving shards")
     term
 
 let trace_cmd =

@@ -369,8 +369,8 @@ let exact_vs_mc =
 
 (* --- 9. word kernel (column mode) vs naive stepper ------------------ *)
 
-let leapfrog_vs_naive =
-  Property.make ~name:"leapfrog-vs-naive"
+let lanes_cols_vs_naive =
+  Property.make ~name:"lanes-cols-vs-naive"
     ~sizes:{ Gen.small with max_jobs = 5; min_prob = 0.15 }
     ~doc:
       "on a random oblivious schedule, both the word kernel's column mode \
@@ -397,12 +397,12 @@ let leapfrog_vs_naive =
                sup eps)
         else None
       in
-      let leap = Policy.of_oblivious "leap" sched in
+      let cols = Policy.of_oblivious "cols" sched in
       let naive =
         Policy.stateless "naive" (fun state ->
             Oblivious.step sched state.Policy.step)
       in
-      match sampler "leapfrog" leap 3000 with
+      match sampler "lanes-cols" cols 3000 with
       | Some msg -> Fail msg
       | None -> (
           match sampler "naive" naive 1200 with
@@ -698,8 +698,8 @@ let split_merge =
     ~sizes:{ Gen.default with min_prob = 0.05 }
     ~doc:
       "a seeded estimate split at a word boundary into trial ranges and \
-       merged (estimate_makespan_range + merge_ranges — the sharding \
-       coordinator's fan-out) is bit-identical to the unsplit run: \
+       merged (estimate_makespan_range + merge_ranges — the range \
+       protocol's client-side fan-out) is bit-identical to the unsplit run: \
        samples, incomplete count, mean and ci95 all match for adaptive, \
        oblivious and untagged policies alike, at any word-aligned split \
        point; a range whose lo is not word-aligned is rejected" (fun case ->
@@ -799,8 +799,6 @@ let shard_heal =
       let lines =
         [
           solve ~trials:100 ~seed:3 "a";
-          (* above the split threshold: two sub-jobs (one whole word and
-             a partial one) exercise sub-job re-dispatch *)
           solve ~trials:8 ~seed:1 "b";
           solve ~trials:100 ~seed:3 "a2";
           (* repeat of a: a shard cache hit, scrubbed below *)
@@ -825,15 +823,12 @@ let shard_heal =
         {
           Coordinator.default_config with
           Coordinator.shards = 2;
-          split_threshold = 16;
-          chunk_trials = Suu_sim.Lanes.lanes_per_word;
-          sub_inflight = 2;
           retries = 12;
           retry_backoff_ms = 0.1;
           heartbeat_ms = None;
           (* Every dispatch (including re-dispatches) can draw a kill, so
-             total deaths are bounded by work items x (retries + 1) =
-             9 x 13. Keeping the budget above that bound makes budget
+             total deaths are bounded by whole requests x (retries + 1) =
+             6 x 13 = 78. Keeping the budget above that bound makes budget
              exhaustion impossible by construction: the property asserts
              full recovery on every seed, not on lucky ones. *)
           respawn_budget = 128;
@@ -842,7 +837,7 @@ let shard_heal =
             {
               Fault.none with
               seed = 1 + (case.Case.aux_seed land 0xffff);
-              (* Mild enough that a single work item exhausting its 12
+              (* Mild enough that a single request exhausting its 12
                  re-dispatches (13 near-consecutive kill draws) has
                  negligible probability on any seed. *)
               kill = 0.1;
@@ -1208,7 +1203,7 @@ let all =
     relabel_invariance;
     monotone_in_p;
     exact_vs_mc;
-    leapfrog_vs_naive;
+    lanes_cols_vs_naive;
     lanes_vs_exact;
     parallel_vs_seeded;
     serialize_roundtrip;

@@ -39,7 +39,7 @@
     - [Kill]: whole-process loss. The in-process service never fires
       this site itself; the sharding coordinator draws on it per
       dispatched job and SIGKILLs (or abruptly disconnects) the target
-      worker process when it fires, exercising shard death, sub-job
+      worker process when it fires, exercising shard death, request
       re-dispatch and degraded service. Keyed by a dispatch counter.
     - [Refuse]: a TCP worker rejects an incoming connection right after
       accepting it (a refused socket), exercising the client's

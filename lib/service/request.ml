@@ -81,8 +81,8 @@ let trials_field json ~default =
   if trials < 1 then fail "trials: must be >= 1";
   trials
 
-(* ["range":[lo,hi]] marks a trial-range sub-job: run only the trials
-   [lo <= k < hi] of the seeded estimate. The coordinator splits a large
+(* ["range":[lo,hi]] marks a trial-range request: run only the trials
+   [lo <= k < hi] of the seeded estimate. A client splits a large
    request into these at word boundaries; contiguous ranges merge back
    bit-identically ({!Suu_sim.Engine.merge_ranges}). *)
 (* ["ci_target":w] asks for CI-width sequential stopping: the estimate
@@ -300,7 +300,7 @@ let cache_key req =
   | Solve { algo; trials; seed; range; ci_target; releases; churn; instance }
     ->
       (* Key on the algorithm actually executed, so "auto" and "adaptive"
-         requests share one cache entry. A ranged sub-job keys on its
+         requests share one cache entry. A range request keys on its
          range too: a partial answer must never alias the full one. *)
       Some
         (Printf.sprintf "solve:%s:%s:%d:%d%s%s%s%s" (Io.digest instance)
@@ -326,7 +326,7 @@ let cache_key req =
   | Exact instance -> Some (Printf.sprintf "exact:%s" (Io.digest instance))
   | Info _ | Ping | Stats _ -> None
 
-(* --- re-encoding (coordinator sub-jobs) --- *)
+(* --- re-encoding (range request lines) --- *)
 
 let sub_line req ~lo ~hi =
   let envelope fields =
@@ -346,7 +346,7 @@ let sub_line req ~lo ~hi =
   in
   (* Canonical re-encode of the dynamic-environment fields: releases as
      the integer list verbatim, churn as the canonical spec string — so
-     every sub-job of one request computes over the identical timeline
+     every range of one request computes over the identical timeline
      and their worker-side cache keys agree. *)
   let dyn_fields ~releases ~churn =
     (match releases with
@@ -367,8 +367,8 @@ let sub_line req ~lo ~hi =
         ([
            ("op", Json.Str "solve");
            (* Re-encode the canonical algorithm, not the raw one: "auto"
-              resolution must happen exactly once, at the coordinator, so
-              a sub-job executes (and caches) identically on any worker
+              resolution must happen exactly once, at the client, so
+              a range executes (and caches) identically on any worker
               whatever that worker's own default resolution is. *)
            ("algo", Json.Str (algo_name (canonical_algo algo)));
            ("trials", Json.int trials);

@@ -22,10 +22,12 @@
     {"op":"stats","format":"json|prom|raw"}
     v}
     ["range"] (optional, Monte-Carlo ops only) marks a {e trial-range
-    sub-job}: run only trials [lo <= k < hi] of the seeded estimate and
+    request}: run only trials [lo <= k < hi] of the seeded estimate and
     answer a partial result carrying the raw samples — the unit of work
-    the sharding coordinator fans out and merges bit-identically
-    ({!Suu_sim.Engine.merge_ranges}). A range is a run of whole words of
+    a client can fan out over servers and merge bit-identically
+    ({!sub_line}, [Suu_shard.Merge], {!Suu_sim.Engine.merge_ranges}).
+    The sharding coordinator forwards such a line whole, like any
+    other. A range is a run of whole words of
     the estimate, so [lo] must be a multiple of
     {!Suu_sim.Lanes.lanes_per_word} and [hi] a multiple too or equal to
     [trials]. ["ci_target"] (optional,
@@ -42,7 +44,7 @@
     timeline from the spec and the instance's machine count, so only
     the spec travels on the wire. Both fold into the cache key
     (distinct lanes: a dynamic answer never aliases a static one) and
-    re-encode canonically in coordinator sub-jobs.
+    re-encode canonically in range lines ({!sub_line}).
 
     Responses carry ["id"], ["status"] (["ok"|"error"|"timeout"]) and
     status-specific fields. *)
@@ -58,15 +60,16 @@ val canonical_algo :
     keys use the canonical form so "auto" and "adaptive" requests for the
     same instance share one entry — and distinct named algorithms
     ("improved" vs "adaptive") can never alias. {!sub_line} re-encodes
-    the canonical form too, so a coordinator resolves "auto" exactly once
-    and its sub-jobs execute identically on any worker. *)
+    the canonical form too, so a client fanning out ranges resolves
+    "auto" exactly once and every range executes identically on any
+    worker. *)
 
 type op =
   | Solve of {
       algo : algo;
       trials : int;
       seed : int;
-      range : (int * int) option;  (** trial-range sub-job, if any *)
+      range : (int * int) option;  (** trial range to run, if any *)
       ci_target : float option;  (** CI-width stopping target, if any *)
       releases : int array option;  (** per-job release steps, if any *)
       churn : Suu_dyn.Churn.params option;
@@ -80,7 +83,7 @@ type op =
       plan_digest : string;  (** content digest of the plan text *)
       trials : int;
       seed : int;
-      range : (int * int) option;  (** trial-range sub-job, if any *)
+      range : (int * int) option;  (** trial range to run, if any *)
       ci_target : float option;  (** CI-width stopping target, if any *)
       releases : int array option;  (** per-job release steps, if any *)
       churn : Suu_dyn.Churn.params option;
@@ -147,13 +150,14 @@ val cache_key : t -> string option
     ({!Suu_sim.Engine.estimate_makespan_seeded}). *)
 
 val sub_line : t -> lo:int -> hi:int -> string
-(** Re-encode a Monte-Carlo request as the sub-job request line for
-    trials [lo <= k < hi]: same id, deadline, algorithm, trials, seed
-    and [ci_target], with ["range":[lo,hi]] and the instance (and plan) serialised
-    canonically via {!Suu_harness.Io} — those round-trip losslessly, so
-    the sub-job computes over bit-identical probabilities. All sub-jobs
-    of one request re-encode the plan identically, so their worker-side
-    cache keys agree with each other no matter which shard runs them.
+(** Client-side helper for the ["range"] protocol: re-encode a
+    Monte-Carlo request as the range request line for trials
+    [lo <= k < hi] — same id, deadline, algorithm, trials, seed and
+    [ci_target], with ["range":[lo,hi]] and the instance (and plan)
+    serialised canonically via {!Suu_harness.Io}. Those round-trip
+    losslessly, so the range computes over bit-identical probabilities.
+    All ranges of one request re-encode the plan identically, so their
+    worker-side cache keys agree no matter which server runs them.
     @raise Invalid_argument on non-Monte-Carlo ops. *)
 
 (** {1 Response encoding} *)
@@ -168,7 +172,7 @@ val error : id:string option -> ?reason:string -> string -> string
     retryable failure outlived its retry budget), ["queue_full"] (load
     shed at admission) and ["unavailable"] (drained at shutdown after
     the worker pool's restart budget was exhausted); the coordinator
-    adds ["shard_lost"] (a sub-job's retry budget died with its
+    adds ["shard_lost"] (a request's retry budget died with its
     shards); plain request errors carry no reason. *)
 
 val timeout : id:string option -> deadline_ms:float -> string

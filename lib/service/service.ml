@@ -251,7 +251,7 @@ let estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target ~releases
     ~churn ~stop ~on_word instance =
   (* The wire carries the churn spec, not the timeline: regenerate it
      here against this instance's machine count, deterministically, so
-     every worker (and every sub-job of a coordinator split) simulates
+     every worker (and every range of a split request) simulates
      the identical environment. *)
   let availability =
     Option.map
@@ -260,8 +260,8 @@ let estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target ~releases
   in
   match range with
   | Some (lo, hi) ->
-      (* A trial-range sub-job answers raw material, not a summary: the
-         coordinator concatenates the per-range samples (integral
+      (* A trial-range request answers raw material, not a summary: the
+         client concatenates the per-range samples (integral
          floats, so they cross the JSON wire bit-exactly) and recomputes
          the summary over the merged vector — identical to a
          single-process run of the full request. ["trials"] reports the
@@ -443,9 +443,9 @@ let engine_counters_json () =
    result is cached under the trial count actually executed and can
    never alias a full-fidelity entry. *)
 let degrade_op cfg op =
-  (* Ranged sub-jobs are never degraded: changing [trials] would move
-     the range's meaning and break the coordinator's bit-exact merge.
-     Overload control belongs to the coordinator for those. *)
+  (* Range requests are never degraded: changing [trials] would move
+     the range's meaning and break the client's bit-exact merge.
+     Overload control belongs to the client for those. *)
   match op with
   | Request.Solve ({ range = None; _ } as r) when r.trials > cfg.degrade_trials
     ->

@@ -22,7 +22,7 @@
     {2 Reproducibility}
 
     Workers estimate makespans with
-    {!Suu_sim.Engine.estimate_makespan_seeded} (ranged sub-jobs with
+    {!Suu_sim.Engine.estimate_makespan_seeded} (range requests with
     {!Suu_sim.Engine.estimate_makespan_range}), spread over
     [estimate_domains] domains. Its word-seeded contract makes an answer
     a pure function of the request — not of worker count, estimate

@@ -3,7 +3,6 @@ module Request = Suu_service.Request
 module Json = Suu_service.Json
 module Fault = Suu_service.Fault
 module Metrics = Suu_service.Metrics
-module Engine = Suu_sim.Engine
 module Trace = Suu_obs.Trace
 module Prom = Suu_obs.Prom
 module Histogram = Suu_obs.Histogram
@@ -13,9 +12,6 @@ let now_ms = Suu_obs.Clock.now_ms
 type config = {
   shards : int;
   replicas : int;
-  split_threshold : int;
-  chunk_trials : int;
-  sub_inflight : int;
   retries : int;
   retry_backoff_ms : float;
   heartbeat_ms : float option;
@@ -34,9 +30,6 @@ let default_config =
   {
     shards = 2;
     replicas = 64;
-    split_threshold = 64;
-    chunk_trials = 0;
-    sub_inflight = 4;
     retries = 2;
     retry_backoff_ms = 1.;
     heartbeat_ms = Some 100.;
@@ -56,8 +49,6 @@ type report = {
   shards : int;
   shards_live : int;
   forwards : int;
-  splits : int;
-  subjobs : int;
   shard_deaths : int;
   heartbeats : int;
   respawns : int;
@@ -110,26 +101,6 @@ type fwd = {
   mutable fattempts : int;
 }
 
-type failure = F_error of string * string option | F_timeout of float option
-
-type split = {
-  sseq : int;
-  sid : string option;
-  sadmitted : float;
-  smax_steps : int;
-  mutable sremaining : int;
-  mutable sparts : Merge.part list;
-  mutable sfailure : failure option;
-}
-
-type sub = {
-  parent : split;
-  sub_lo : int;
-  sub_hi : int;
-  sub_line : string;
-  mutable attempts : int;
-}
-
 type statjob = {
   tseq : int;
   tid : string option;
@@ -146,7 +117,7 @@ type statjob = {
    rejoin-safety: the ring may route to a respawned shard immediately,
    because nothing the previous incarnation still says can be mistaken
    for an answer. *)
-type work = W_fwd of fwd | W_sub of sub | W_stat of statjob
+type work = W_fwd of fwd | W_stat of statjob
 
 type t = {
   cfg : config;
@@ -161,11 +132,7 @@ type t = {
   mutable rr : int;  (* keyless round-robin cursor *)
   mutable next_ticket : int;
   tickets : (int, work) Hashtbl.t array;  (* per shard: in-flight work *)
-  jobs : sub Queue.t;  (* sub-jobs awaiting a shard slot *)
-  sub_inflight : int array;
   mutable forwards : int;
-  mutable splits : int;
-  mutable subjobs : int;
   mutable shard_deaths : int;
   mutable heartbeats : int;
   mutable fenced : int;  (* zombie answers discarded at the fence *)
@@ -200,6 +167,160 @@ let claim t i ticket ~answered =
   else if answered then t.fenced <- t.fenced + 1;
   Mutex.unlock t.lock;
   owned
+
+(* --- stats ------------------------------------------------------------ *)
+
+let coord_counter_fields t =
+  (* racy reads of monotone ints: telemetry precision *)
+  [
+    ("forwards", Json.int t.forwards);
+    ("shard_deaths", Json.int t.shard_deaths);
+    ("heartbeats", Json.int t.heartbeats);
+    ("respawns", Json.int (Supervisor.respawns_total t.sup));
+    ("suspects", Json.int (Supervisor.suspects_total t.sup));
+    ("fenced", Json.int t.fenced);
+  ]
+
+let coord_stats_fields t telemetry =
+  let m = Metrics.snapshot t.metrics in
+  let live = List.length (live_indices t) in
+  let epochs =
+    Supervisor.snapshot t.sup |> Array.to_list
+    |> List.map (fun (_, epoch, _) -> Json.int epoch)
+  in
+  [
+    ("shards", Json.int t.cfg.shards);
+    ("shards_live", Json.int live);
+    ("requests", Json.int m.Metrics.requests);
+    ("ok", Json.int m.Metrics.ok);
+    ("errors", Json.int m.Metrics.errors);
+    ("timeouts", Json.int m.Metrics.timeouts);
+    ("retries", Json.int m.Metrics.retries);
+  ]
+  @ coord_counter_fields t
+  @ [
+      ("shard_epochs", Json.List epochs);
+      ("shard", Json.Obj (List.map (fun (n, v) -> (n, Json.int v)) telemetry.Merge.service));
+      ("engine", Json.Obj (List.map (fun (n, v) -> (n, Json.int v)) telemetry.Merge.engine));
+    ]
+
+let hist_snapshot_json h =
+  let s = Histogram.export h in
+  Json.Obj
+    [
+      ("lo", Json.Num s.Histogram.layout_lo);
+      ("growth", Json.Num s.Histogram.layout_growth);
+      ("buckets", Json.int s.Histogram.layout_buckets);
+      ( "counts",
+        Json.List
+          (List.map
+             (fun (k, c) -> Json.List [ Json.int k; Json.int c ])
+             s.Histogram.occupied) );
+      ("sum", Json.Num s.Histogram.total_sum);
+      ("min", Json.Num s.Histogram.observed_min);
+      ("max", Json.Num s.Histogram.observed_max);
+    ]
+
+(* One exposition for the whole deployment: the coordinator's own
+   request counters under [suu_coord_*], the summed worker service
+   counters under [suu_shard_*], the merged worker latency histogram,
+   the summed worker engine counters, and the supervision series —
+   respawns, suspicion transitions, fenced zombie answers, and a
+   per-shard epoch gauge. *)
+let prom_exposition t telemetry =
+  let m = Metrics.snapshot t.metrics in
+  let c name help v = Prom.counter ~name ~help (float_of_int v) in
+  let g name help v = Prom.gauge ~name ~help (float_of_int v) in
+  let epoch_rows =
+    Supervisor.snapshot t.sup |> Array.to_list
+    |> List.mapi (fun i (_, epoch, _) ->
+           ([ ("shard", string_of_int i) ], float_of_int epoch))
+  in
+  Prom.render
+    ([
+       g "suu_shards" "Configured worker shards." t.cfg.shards;
+       g "suu_shards_live" "Shards currently believed live."
+         (List.length (live_indices t));
+       c "suu_coord_requests_total"
+         "Requests completed by the coordinator (ok + errors + timeouts)."
+         m.Metrics.requests;
+       c "suu_coord_requests_ok_total" "Requests answered ok." m.Metrics.ok;
+       c "suu_coord_requests_error_total" "Requests answered with an error."
+         m.Metrics.errors;
+       c "suu_coord_requests_timeout_total"
+         "Requests that exceeded their deadline." m.Metrics.timeouts;
+       c "suu_coord_retries_total"
+         "Re-dispatches of work lost with a shard." m.Metrics.retries;
+       c "suu_coord_forwards_total" "Whole requests routed to a shard."
+         t.forwards;
+       c "suu_coord_shard_deaths_total" "Worker shards lost." t.shard_deaths;
+       c "suu_coord_heartbeats_total" "Heartbeat pings sent." t.heartbeats;
+       c "suu_shard_respawns_total" "Worker shards respawned after loss."
+         (Supervisor.respawns_total t.sup);
+       c "suu_coord_suspect_transitions_total"
+         "Shards escalated to suspect after missed heartbeats."
+         (Supervisor.suspects_total t.sup);
+       c "suu_coord_fenced_replies_total"
+         "Late answers from fenced (killed-epoch) shards, discarded."
+         t.fenced;
+       Prom.labelled ~name:"suu_shard_epoch"
+         ~help:
+           "Shard incarnation number (death count); work is fenced to \
+            the epoch it was dispatched under."
+         ~ty:`Gauge epoch_rows;
+     ]
+    @ (match m.Metrics.latency_hist with
+      | None -> []
+      | Some h ->
+          [
+            Prom.histogram ~name:"suu_coord_request_latency_ms"
+              ~help:
+                "Coordinator ok-response latency, admission to emission, \
+                 milliseconds."
+              h;
+          ])
+    @ List.map
+        (fun (name, v) ->
+          c
+            ("suu_shard_" ^ name ^ "_total")
+            "Summed across live worker shards." v)
+        telemetry.Merge.service
+    @ (match telemetry.Merge.latency with
+      | None -> []
+      | Some h ->
+          [
+            Prom.histogram ~name:"suu_shard_request_latency_ms"
+              ~help:
+                "Worker ok-response latency, merged across live shards, \
+                 milliseconds."
+              h;
+          ])
+    @ List.map
+        (fun (name, v) ->
+          c ("suu_shard_" ^ name) "Summed across live worker shards." v)
+        telemetry.Merge.engine)
+
+let finalize_stats_locked t st =
+  emit_lazy t.em st.tseq (fun () ->
+      let telemetry = Merge.telemetry_of_responses st.replies in
+      match st.tformat with
+      | `Prom ->
+          Request.ok ~id:st.tid
+            [ ("prom", Json.Str (prom_exposition t telemetry)) ]
+      | `Json -> Request.ok ~id:st.tid (coord_stats_fields t telemetry)
+      | `Raw ->
+          let hist =
+            match telemetry.Merge.latency with
+            | None -> []
+            | Some h -> [ ("latency_hist", hist_snapshot_json h) ]
+          in
+          Request.ok ~id:st.tid (coord_stats_fields t telemetry @ hist));
+  request_done_locked t
+
+(* One shard's part of a stats pull is over, answered or lost. *)
+let stat_settled_locked t st =
+  st.waiting <- st.waiting - 1;
+  if st.waiting = 0 then finalize_stats_locked t st
 
 (* --- forwards --------------------------------------------------------- *)
 
@@ -304,158 +425,6 @@ and retry_forward t fwd =
     dispatch_forward t fwd
   end
 
-(* --- splits ----------------------------------------------------------- *)
-
-and set_failure p f = if p.sfailure = None then p.sfailure <- Some f
-
-and finalize_split_locked t p =
-  match p.sfailure with
-  | Some (F_timeout d) ->
-      Metrics.record_timeout t.metrics;
-      emit t.em p.sseq
-        (Request.timeout ~id:p.sid ~deadline_ms:(Option.value ~default:0. d));
-      request_done_locked t
-  | Some (F_error (msg, reason)) ->
-      Metrics.record_error t.metrics;
-      emit t.em p.sseq (Request.error ~id:p.sid ?reason msg);
-      request_done_locked t
-  | None ->
-      let fields =
-        Trace.with_span t.cfg.tracer "merge"
-          ~attrs:[ ("seq", string_of_int p.sseq) ]
-          (fun () ->
-            ("cached", Json.Bool false)
-            :: Merge.merged_fields ~max_steps:p.smax_steps p.sparts)
-      in
-      Metrics.record_ok t.metrics ~latency_ms:(now_ms () -. p.sadmitted);
-      emit t.em p.sseq (Request.ok ~id:p.sid fields);
-      request_done_locked t
-
-and resolve_sub_locked t sub outcome =
-  let p = sub.parent in
-  (match outcome with
-  | `Part part -> p.sparts <- part :: p.sparts
-  | `Failure f -> set_failure p f);
-  p.sremaining <- p.sremaining - 1;
-  if p.sremaining = 0 then finalize_split_locked t p
-
-(* Pick dispatch work while the lock is held; the (blocking) submits
-   happen after release. When no shard is routable, queued sub-jobs
-   wait as long as a respawn can still bring one back; once recovery is
-   impossible they resolve as failures here — that is what guarantees
-   [outstanding] always drains and shutdown never hangs. *)
-and pump_locked t =
-  let least_loaded () =
-    List.fold_left
-      (fun best i ->
-        match best with
-        | Some j when t.sub_inflight.(j) <= t.sub_inflight.(i) -> best
-        | _ -> Some i)
-      None (live_indices t)
-  in
-  let rec collect acc =
-    if Queue.is_empty t.jobs then List.rev acc
-    else
-      match least_loaded () with
-      | Some i when t.sub_inflight.(i) < t.cfg.sub_inflight -> (
-          match Supervisor.checkout t.sup i with
-          | None -> List.rev acc (* raced a death; next pump retries *)
-          | Some (c, epoch) ->
-              let sub = Queue.pop t.jobs in
-              t.sub_inflight.(i) <- t.sub_inflight.(i) + 1;
-              let k = t.dispatches in
-              t.dispatches <- k + 1;
-              let kill = Fault.fires t.cfg.fault Fault.Kill ~key:k in
-              let ticket = register_locked t i (W_sub sub) in
-              collect ((i, c, epoch, ticket, sub, kill) :: acc))
-      | Some _ -> List.rev acc (* every live shard at its cap *)
-      | None ->
-          if not (Supervisor.can_recover t.sup) then
-            (* permanently empty fleet: fail the whole queue *)
-            while not (Queue.is_empty t.jobs) do
-              resolve_sub_locked t (Queue.pop t.jobs)
-                (`Failure (F_error ("no live shards", Some "unavailable")))
-            done;
-          List.rev acc
-  in
-  collect []
-
-and run_actions t acts =
-  List.iter
-    (fun (i, c, epoch, ticket, sub, kill) ->
-      if kill then Client.kill c;
-      let submitted =
-        Client.submit c sub.sub_line (fun resp ->
-            on_sub_reply t sub i epoch ticket resp)
-      in
-      if not submitted then
-        (* Only requeue if we win the claim: a concurrent fence that
-           beat us here has already requeued this sub-job (and reset
-           the slot's inflight count). *)
-        if claim t i ticket ~answered:false then begin
-          Mutex.lock t.lock;
-          t.sub_inflight.(i) <- max 0 (t.sub_inflight.(i) - 1);
-          Queue.push sub t.jobs;
-          Mutex.unlock t.lock;
-          handle_shard_loss t i ~epoch;
-          pump t
-        end
-        else handle_shard_loss t i ~epoch)
-    acts
-
-and pump t =
-  Mutex.lock t.lock;
-  let acts = pump_locked t in
-  Mutex.unlock t.lock;
-  run_actions t acts
-
-and on_sub_reply t sub i epoch ticket = function
-  | Some line ->
-      if claim t i ticket ~answered:true then begin
-        let outcome =
-          match Merge.classify line with
-          | Merge.Part part -> `Part part
-          | Merge.Whole ->
-              `Failure
-                (F_error ("shard answered a sub-job with a non-partial ok", None))
-          | Merge.Err { msg; reason } -> `Failure (F_error (msg, reason))
-          | Merge.Expired d -> `Failure (F_timeout d)
-          | Merge.Garbled msg -> `Failure (F_error (msg, None))
-        in
-        Mutex.lock t.lock;
-        t.sub_inflight.(i) <- max 0 (t.sub_inflight.(i) - 1);
-        resolve_sub_locked t sub outcome;
-        let acts = pump_locked t in
-        Mutex.unlock t.lock;
-        run_actions t acts
-      end
-  | None ->
-      if claim t i ticket ~answered:false then begin
-        handle_shard_loss t i ~epoch;
-        let retrying = sub.attempts < t.cfg.retries in
-        if retrying then begin
-          let attempt = sub.attempts in
-          sub.attempts <- attempt + 1;
-          Metrics.record_retry t.metrics;
-          Unix.sleepf
-            (Dispatch.backoff_s ~base_ms:t.cfg.retry_backoff_ms
-               ~fault:t.cfg.fault
-               ~key:((sub.parent.sseq * 1_000_003) + sub.sub_lo)
-               ~attempt)
-        end;
-        Mutex.lock t.lock;
-        t.sub_inflight.(i) <- max 0 (t.sub_inflight.(i) - 1);
-        if retrying then Queue.push sub t.jobs
-        else
-          resolve_sub_locked t sub
-            (`Failure
-              (F_error ("sub-job lost with its shard", Some "shard_lost")));
-        let acts = pump_locked t in
-        Mutex.unlock t.lock;
-        run_actions t acts
-      end
-      else handle_shard_loss t i ~epoch
-
 (* --- fencing ---------------------------------------------------------- *)
 
 (* A shard at [epoch] was observed dead (EOF, failed submit, or missed
@@ -485,200 +454,30 @@ and fence_slot t i =
   Mutex.lock t.lock;
   let orphans = Hashtbl.fold (fun _ w acc -> w :: acc) t.tickets.(i) [] in
   Hashtbl.reset t.tickets.(i);
-  t.sub_inflight.(i) <- 0;
-  let fwds = ref [] in
-  List.iter
-    (fun w ->
-      match w with
-      | W_fwd fwd -> fwds := fwd :: !fwds
-      | W_sub sub ->
-          if sub.attempts < t.cfg.retries then begin
-            sub.attempts <- sub.attempts + 1;
-            Metrics.record_retry t.metrics;
-            Queue.push sub t.jobs
-          end
-          else
-            resolve_sub_locked t sub
-              (`Failure
-                (F_error ("sub-job lost with its shard", Some "shard_lost")))
-      | W_stat st ->
-          st.waiting <- st.waiting - 1;
-          if st.waiting = 0 then finalize_stats_locked t st)
-    orphans;
-  let acts = pump_locked t in
+  let fwds =
+    List.filter_map
+      (function
+        | W_fwd fwd -> Some fwd
+        | W_stat st ->
+            stat_settled_locked t st;
+            None)
+      orphans
+  in
   Mutex.unlock t.lock;
-  run_actions t acts;
-  List.iter (fun fwd -> retry_forward t fwd) !fwds
-
-(* --- stats ------------------------------------------------------------ *)
-
-and coord_counter_fields t =
-  (* racy reads of monotone ints: telemetry precision *)
-  [
-    ("forwards", Json.int t.forwards);
-    ("splits", Json.int t.splits);
-    ("subjobs", Json.int t.subjobs);
-    ("shard_deaths", Json.int t.shard_deaths);
-    ("heartbeats", Json.int t.heartbeats);
-    ("respawns", Json.int (Supervisor.respawns_total t.sup));
-    ("suspects", Json.int (Supervisor.suspects_total t.sup));
-    ("fenced", Json.int t.fenced);
-  ]
-
-and coord_stats_fields t telemetry =
-  let m = Metrics.snapshot t.metrics in
-  let live = List.length (live_indices t) in
-  let epochs =
-    Supervisor.snapshot t.sup |> Array.to_list
-    |> List.map (fun (_, epoch, _) -> Json.int epoch)
-  in
-  [
-    ("shards", Json.int t.cfg.shards);
-    ("shards_live", Json.int live);
-    ("requests", Json.int m.Metrics.requests);
-    ("ok", Json.int m.Metrics.ok);
-    ("errors", Json.int m.Metrics.errors);
-    ("timeouts", Json.int m.Metrics.timeouts);
-    ("retries", Json.int m.Metrics.retries);
-  ]
-  @ coord_counter_fields t
-  @ [
-      ("shard_epochs", Json.List epochs);
-      ("shard", Json.Obj (List.map (fun (n, v) -> (n, Json.int v)) telemetry.Merge.service));
-      ("engine", Json.Obj (List.map (fun (n, v) -> (n, Json.int v)) telemetry.Merge.engine));
-    ]
-
-and hist_snapshot_json h =
-  let s = Histogram.export h in
-  Json.Obj
-    [
-      ("lo", Json.Num s.Histogram.layout_lo);
-      ("growth", Json.Num s.Histogram.layout_growth);
-      ("buckets", Json.int s.Histogram.layout_buckets);
-      ( "counts",
-        Json.List
-          (List.map
-             (fun (k, c) -> Json.List [ Json.int k; Json.int c ])
-             s.Histogram.occupied) );
-      ("sum", Json.Num s.Histogram.total_sum);
-      ("min", Json.Num s.Histogram.observed_min);
-      ("max", Json.Num s.Histogram.observed_max);
-    ]
-
-(* One exposition for the whole deployment: the coordinator's own
-   request counters under [suu_coord_*], the summed worker service
-   counters under [suu_shard_*], the merged worker latency histogram,
-   the summed worker engine counters, and the supervision series —
-   respawns, suspicion transitions, fenced zombie answers, and a
-   per-shard epoch gauge. *)
-and prom_exposition t telemetry =
-  let m = Metrics.snapshot t.metrics in
-  let c name help v = Prom.counter ~name ~help (float_of_int v) in
-  let g name help v = Prom.gauge ~name ~help (float_of_int v) in
-  let epoch_rows =
-    Supervisor.snapshot t.sup |> Array.to_list
-    |> List.mapi (fun i (_, epoch, _) ->
-           ([ ("shard", string_of_int i) ], float_of_int epoch))
-  in
-  Prom.render
-    ([
-       g "suu_shards" "Configured worker shards." t.cfg.shards;
-       g "suu_shards_live" "Shards currently believed live."
-         (List.length (live_indices t));
-       c "suu_coord_requests_total"
-         "Requests completed by the coordinator (ok + errors + timeouts)."
-         m.Metrics.requests;
-       c "suu_coord_requests_ok_total" "Requests answered ok." m.Metrics.ok;
-       c "suu_coord_requests_error_total" "Requests answered with an error."
-         m.Metrics.errors;
-       c "suu_coord_requests_timeout_total"
-         "Requests that exceeded their deadline." m.Metrics.timeouts;
-       c "suu_coord_retries_total"
-         "Re-dispatches of work lost with a shard." m.Metrics.retries;
-       c "suu_coord_forwards_total" "Whole requests routed to a shard."
-         t.forwards;
-       c "suu_coord_splits_total"
-         "Monte-Carlo requests split into trial-range sub-jobs." t.splits;
-       c "suu_coord_subjobs_total" "Trial-range sub-jobs dispatched."
-         t.subjobs;
-       c "suu_coord_shard_deaths_total" "Worker shards lost." t.shard_deaths;
-       c "suu_coord_heartbeats_total" "Heartbeat pings sent." t.heartbeats;
-       c "suu_shard_respawns_total" "Worker shards respawned after loss."
-         (Supervisor.respawns_total t.sup);
-       c "suu_coord_suspect_transitions_total"
-         "Shards escalated to suspect after missed heartbeats."
-         (Supervisor.suspects_total t.sup);
-       c "suu_coord_fenced_replies_total"
-         "Late answers from fenced (killed-epoch) shards, discarded."
-         t.fenced;
-       Prom.labelled ~name:"suu_shard_epoch"
-         ~help:
-           "Shard incarnation number (death count); work is fenced to \
-            the epoch it was dispatched under."
-         ~ty:`Gauge epoch_rows;
-     ]
-    @ (match m.Metrics.latency_hist with
-      | None -> []
-      | Some h ->
-          [
-            Prom.histogram ~name:"suu_coord_request_latency_ms"
-              ~help:
-                "Coordinator ok-response latency, admission to emission, \
-                 milliseconds."
-              h;
-          ])
-    @ List.map
-        (fun (name, v) ->
-          c
-            ("suu_shard_" ^ name ^ "_total")
-            "Summed across live worker shards." v)
-        telemetry.Merge.service
-    @ (match telemetry.Merge.latency with
-      | None -> []
-      | Some h ->
-          [
-            Prom.histogram ~name:"suu_shard_request_latency_ms"
-              ~help:
-                "Worker ok-response latency, merged across live shards, \
-                 milliseconds."
-              h;
-          ])
-    @ List.map
-        (fun (name, v) ->
-          c ("suu_shard_" ^ name) "Summed across live worker shards." v)
-        telemetry.Merge.engine)
-
-and finalize_stats_locked t st =
-  emit_lazy t.em st.tseq (fun () ->
-      let telemetry = Merge.telemetry_of_responses st.replies in
-      match st.tformat with
-      | `Prom ->
-          Request.ok ~id:st.tid
-            [ ("prom", Json.Str (prom_exposition t telemetry)) ]
-      | `Json -> Request.ok ~id:st.tid (coord_stats_fields t telemetry)
-      | `Raw ->
-          let hist =
-            match telemetry.Merge.latency with
-            | None -> []
-            | Some h -> [ ("latency_hist", hist_snapshot_json h) ]
-          in
-          Request.ok ~id:st.tid (coord_stats_fields t telemetry @ hist));
-  request_done_locked t
+  List.iter (retry_forward t) fwds
 
 let on_stats_reply t st i epoch ticket = function
   | Some line ->
       if claim t i ticket ~answered:true then begin
         Mutex.lock t.lock;
         st.replies <- line :: st.replies;
-        st.waiting <- st.waiting - 1;
-        if st.waiting = 0 then finalize_stats_locked t st;
+        stat_settled_locked t st;
         Mutex.unlock t.lock
       end
   | None ->
       if claim t i ticket ~answered:false then begin
         Mutex.lock t.lock;
-        st.waiting <- st.waiting - 1;
-        if st.waiting = 0 then finalize_stats_locked t st;
+        stat_settled_locked t st;
         Mutex.unlock t.lock;
         handle_shard_loss t i ~epoch
       end
@@ -722,8 +521,7 @@ let admit_stats t seq req format =
       then
         if claim t i ticket ~answered:false then begin
           Mutex.lock t.lock;
-          st.waiting <- st.waiting - 1;
-          if st.waiting = 0 then finalize_stats_locked t st;
+          stat_settled_locked t st;
           Mutex.unlock t.lock;
           handle_shard_loss t i ~epoch
         end
@@ -748,51 +546,6 @@ let admit_forward t seq req line =
     }
   in
   dispatch_forward t fwd
-
-let admit_split t seq req ~trials ~instance =
-  let chunk =
-    if t.cfg.chunk_trials > 0 then t.cfg.chunk_trials
-    else Dispatch.auto_chunk ~trials ~shards:t.cfg.shards
-  in
-  let ranges = Dispatch.plan ~trials ~chunk in
-  let p =
-    {
-      sseq = seq;
-      sid = req.Request.id;
-      sadmitted = now_ms ();
-      smax_steps = Engine.default_horizon instance;
-      sremaining = List.length ranges;
-      sparts = [];
-      sfailure = None;
-    }
-  in
-  let subs =
-    List.map
-      (fun (lo, hi) ->
-        {
-          parent = p;
-          sub_lo = lo;
-          sub_hi = hi;
-          sub_line = Request.sub_line req ~lo ~hi;
-          attempts = 0;
-        })
-      ranges
-  in
-  let acts =
-    Trace.with_span t.cfg.tracer "dispatch"
-      ~attrs:
-        [ ("seq", string_of_int seq); ("subjobs", string_of_int (List.length subs)) ]
-      (fun () ->
-        Mutex.lock t.lock;
-        t.outstanding <- t.outstanding + 1;
-        t.splits <- t.splits + 1;
-        t.subjobs <- t.subjobs + List.length subs;
-        List.iter (fun s -> Queue.push s t.jobs) subs;
-        let acts = pump_locked t in
-        Mutex.unlock t.lock;
-        acts)
-  in
-  run_actions t acts
 
 let admit t seq line =
   Trace.with_span t.cfg.tracer "route"
@@ -820,14 +573,6 @@ let admit t seq line =
                      ("shards_live", Json.int (List.length (live_indices t)));
                    ])
           | Request.Stats { format } -> admit_stats t seq req format
-          | Request.Solve { range = None; trials; instance; _ }
-            when t.cfg.split_threshold > 0 && trials >= t.cfg.split_threshold
-            ->
-              admit_split t seq req ~trials ~instance
-          | Request.Estimate { range = None; trials; instance; _ }
-            when t.cfg.split_threshold > 0 && trials >= t.cfg.split_threshold
-            ->
-              admit_split t seq req ~trials ~instance
           | _ -> admit_forward t seq req line))
 
 (* --- supervision ------------------------------------------------------ *)
@@ -870,25 +615,13 @@ let supervision_loop t stop =
       Unix.sleepf slice;
       (* Respawns: slots whose backoff expired. The spawn itself runs
          outside every lock; a rejoined shard is routable at its new
-         epoch immediately, so pump right away. *)
+         epoch immediately, so requests waiting in [dispatch_forward]
+         pick it up on their next attempt. *)
       let due = Supervisor.due_respawns t.sup ~now:(Unix.gettimeofday ()) in
       List.iter
         (fun i ->
-          ignore (Supervisor.respawn t.sup i ~now:(Unix.gettimeofday ()));
-          (* On success queued jobs can start; on a failed attempt the
-             budget may just have run out, in which case the pump fails
-             whatever could only have waited for this shard. *)
-          pump t)
+          ignore (Supervisor.respawn t.sup i ~now:(Unix.gettimeofday ())))
         due;
-      (* Opportunistic pump: jobs can be parked while the fleet is
-         empty but recoverable. *)
-      (let queued =
-         Mutex.lock t.lock;
-         let q = not (Queue.is_empty t.jobs) in
-         Mutex.unlock t.lock;
-         q
-       in
-       if queued then pump t);
       let hb_elapsed = hb_elapsed +. slice in
       match period with
       | Some p when hb_elapsed >= p ->
@@ -904,10 +637,7 @@ let supervision_loop t stop =
 let validate (cfg : config) =
   if cfg.shards < 1 then invalid_arg "Coordinator: shards < 1";
   if cfg.replicas < 1 then invalid_arg "Coordinator: replicas < 1";
-  if cfg.sub_inflight < 1 then invalid_arg "Coordinator: sub_inflight < 1";
   if cfg.retries < 0 then invalid_arg "Coordinator: retries < 0";
-  if cfg.chunk_trials < 0 || cfg.chunk_trials mod Suu_sim.Lanes.lanes_per_word <> 0
-  then invalid_arg "Coordinator: chunk_trials must be 0 or a word multiple";
   if cfg.respawn_budget < 0 then invalid_arg "Coordinator: respawn_budget < 0";
   if cfg.suspect_after < 1 then invalid_arg "Coordinator: suspect_after < 1";
   if cfg.dead_after < cfg.suspect_after then
@@ -942,11 +672,7 @@ let serve cfg ~spawn transport =
       rr = 0;
       next_ticket = 0;
       tickets = Array.init cfg.shards (fun _ -> Hashtbl.create 16);
-      jobs = Queue.create ();
-      sub_inflight = Array.make cfg.shards 0;
       forwards = 0;
-      splits = 0;
-      subjobs = 0;
       shard_deaths = 0;
       heartbeats = 0;
       fenced = 0;
@@ -990,8 +716,6 @@ let serve cfg ~spawn transport =
     shards = cfg.shards;
     shards_live;
     forwards = t.forwards;
-    splits = t.splits;
-    subjobs = t.subjobs;
     shard_deaths = t.shard_deaths;
     heartbeats = t.heartbeats;
     respawns = Supervisor.respawns_total t.sup;
@@ -1031,8 +755,7 @@ let report_to_string (r : report) =
   Printf.bprintf b
     "shards: %d spawned, %d live at shutdown, %d lost, %d respawned\n"
     r.shards r.shards_live r.shard_deaths r.respawns;
-  Printf.bprintf b "dispatch: %d forwarded, %d split into %d sub-jobs\n"
-    r.forwards r.splits r.subjobs;
+  Printf.bprintf b "dispatch: %d forwarded\n" r.forwards;
   Printf.bprintf b "heartbeats: %d" r.heartbeats;
   (if r.suspects > 0 || r.fenced > 0 then
      Printf.bprintf b "\nsupervision: %d suspect transitions, %d fenced replies"

@@ -12,17 +12,18 @@
     is the {e sum} of the shards' — the capacity-scaling half of the
     sharding story. Keyless ops (info) round-robin over the live set.
 
-    {2 Splitting}
-
-    A Monte-Carlo request with at least [split_threshold] trials is
-    split into contiguous trial-range sub-jobs ({!Dispatch.plan}, the
-    wire's ["range":[lo,hi]]) fed through a job queue that keeps at most
-    [sub_inflight] sub-jobs outstanding per shard. Because the engine
-    seeds each trial independently of its neighbours, the concatenated
-    partial samples are the unsplit run's sample vector, and the merged
-    response ({!Merge.merged_fields}) is {e byte-identical} to the
-    single-process answer — certified by the [split-merge] and
-    [shard-heal] conformance properties and the shard test suite.
+    Every request travels whole: the coordinator forwards the client's
+    line verbatim and passes the shard's answer back unchanged, so the
+    response stream is {e byte-identical} to a single
+    {!Suu_service.Service} over the same lines, up to the ["cached"]
+    flag (each shard's LRU holds only its slice of the keyspace, and a
+    respawned shard restarts cold) — certified by the [shard-heal]
+    conformance property and the shard test suite. A line carrying a
+    ["range":[lo,hi]] is forwarded like any other and answered with the
+    shard's partial response; fanning one estimate out over ranges is
+    left to clients ({!Dispatch}, {!Merge}). Parallelism inside one
+    request belongs to the worker: [suu serve --estimate-domains] runs
+    a single estimate across domains.
 
     {2 Failure model and self-healing}
 
@@ -30,16 +31,16 @@
     whose reconnect budget ran out), as a failed submit, or as
     [dead_after] consecutive missed heartbeats — whichever is observed
     first. The loss is routed through the {!Supervisor}: the slot is
-    {e fenced} (its epoch bumped), every request or sub-job in flight
-    there is reclaimed by ticket and re-dispatched to survivors (up to
-    [retries] times each with capped deterministic backoff), and the
+    {e fenced} (its epoch bumped), every request in flight there is
+    reclaimed by ticket and re-dispatched to survivors (up to [retries]
+    times each with capped deterministic backoff), and the
     zombie's late answers — arriving after the fence — find their
     tickets gone and are discarded (counted as [fenced]). With
     [respawn_budget > 0] the supervisor then respawns the shard after a
     capped-exponential deterministically-jittered delay; the rejoined
-    shard re-enters the ring and the least-loaded pool at its new epoch
-    immediately (its cache restarts cold, its counters at zero — the
-    merge layer tolerates both). [respawn_budget = 0] preserves the
+    shard re-enters the ring at its new epoch immediately (its cache
+    restarts cold, its counters at zero — the telemetry merge tolerates
+    both). [respawn_budget = 0] preserves the
     degrade-only fleet: requests answer [reason:"shard_lost"]
     ([reason:"unavailable"] once no shard remains and recovery is
     impossible); while a respawn is still possible, work waits instead
@@ -61,19 +62,13 @@
     [suu_coord_suspect_transitions_total],
     [suu_coord_fenced_replies_total] and the per-shard
     [suu_shard_epoch{shard="i"}] gauge. [ping] is answered locally with
-    shard liveness attached. Route, dispatch and merge phases record
-    spans when [tracer] is enabled. *)
+    shard liveness attached. Admission records a [route] span per
+    request when [tracer] is enabled. *)
 
 type config = {
   shards : int;  (** worker shards to spawn (>= 1) *)
   replicas : int;  (** ring virtual nodes per shard *)
-  split_threshold : int;
-      (** split Monte-Carlo requests with at least this many trials;
-          [0] disables splitting (everything forwards whole) *)
-  chunk_trials : int;
-      (** trials per sub-job; [0] picks {!Dispatch.auto_chunk} *)
-  sub_inflight : int;  (** outstanding sub-jobs per shard (>= 1) *)
-  retries : int;  (** re-dispatches per request or sub-job after shard loss *)
+  retries : int;  (** re-dispatches per request after shard loss *)
   retry_backoff_ms : float;  (** re-dispatch backoff base (capped at 50 ms) *)
   heartbeat_ms : float option;  (** ping period; [None] disables *)
   suspect_after : int;
@@ -91,19 +86,18 @@ type config = {
   default_seed : int;  (** when a request omits ["seed"] *)
   default_ci_target : float option;
       (** when a request omits ["ci_target"]; [None] = exhaustive.
-          Affects split routing only through the sub-job lines it
-          re-encodes — whole forwards carry the client's line verbatim,
-          so shards spawned by the CLI get the same default on their
-          command line *)
+          Only request decoding at the coordinator sees it: forwards
+          carry the client's line verbatim, so the shards apply their
+          own default (the CLI passes the same one on their command
+          line) *)
   fault : Suu_service.Fault.spec;  (** coordinator-side injection ([kill]) *)
   tracer : Suu_obs.Trace.t;  (** route/dispatch/merge spans *)
 }
 
 val default_config : config
-(** 2 shards, 64 replicas, split at 64 trials with auto chunking, 4
-    sub-jobs in flight per shard, 2 retries at 1 ms base backoff,
-    100 ms heartbeat (suspect after 1 miss, dead after 3), respawn
-    budget 2 at 10 ms base backoff, 200 trials, seed 1, no faults,
+(** 2 shards, 64 replicas, 2 retries at 1 ms base backoff, 100 ms
+    heartbeat (suspect after 1 miss, dead after 3), respawn budget 2 at
+    10 ms base backoff, 200 trials, seed 1, no [ci_target], no faults,
     tracing off. *)
 
 type report = {
@@ -112,9 +106,7 @@ type report = {
           re-dispatches after shard loss *)
   shards : int;
   shards_live : int;  (** live when shutdown (post-heal) completed *)
-  forwards : int;  (** whole requests routed to a shard *)
-  splits : int;  (** requests split into sub-jobs *)
-  subjobs : int;  (** sub-jobs dispatched (excluding re-dispatches) *)
+  forwards : int;  (** requests routed to a shard *)
   shard_deaths : int;  (** death events (a respawned shard can die again) *)
   heartbeats : int;  (** pings sent *)
   respawns : int;  (** successful respawns *)

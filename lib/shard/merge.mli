@@ -1,21 +1,25 @@
-(** Decoding and merging of worker responses at the coordinator.
+(** Decoding and merging of worker responses.
 
-    Two merge planes: {e results} — trial-range partial answers
-    concatenate through {!Suu_sim.Engine.merge_ranges} into a response
-    byte-identical to the unsplit run — and {e telemetry} — per-shard
-    raw stats fold into one summed counter set and one merged latency
-    histogram for the coordinator's Prometheus exposition. *)
+    Two merge planes: {e results} — the client-side half of the
+    ["range"] protocol: trial-range partial answers concatenate through
+    {!Suu_sim.Engine.merge_ranges} into a response byte-identical to the
+    unsplit run — and {e telemetry} — per-shard raw stats fold into one
+    summed counter set and one merged latency histogram for the
+    coordinator's Prometheus exposition. The coordinator uses
+    {!classify} to account forwarded answers and the telemetry plane
+    for [stats]; it never merges results itself, since it routes every
+    request whole. *)
 
-(** One trial-range partial answer: the raw material of a sub-job. The
-    samples are integral makespans, so they crossed the JSON wire
-    bit-exactly. *)
+(** One trial-range partial answer: the raw material of a range
+    request. The samples are integral makespans, so they crossed the
+    JSON wire bit-exactly. *)
 type part = {
   algo : string;
   lo : int;
   hi : int;
   trials : int;
       (** trials the shard actually executed — [hi - lo] unless the
-          sub-job's [ci_target] stopped it early (or the responding
+          range's [ci_target] stopped it early (or the responding
           shard predates the field, which defaults to the full width) *)
   incomplete : int;
   samples : float array;

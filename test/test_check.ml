@@ -48,7 +48,7 @@ let test_property_list_golden () =
       "relabel-invariance";
       "monotone-in-p";
       "exact-vs-mc";
-      "leapfrog-vs-naive";
+      "lanes-cols-vs-naive";
       "lanes-vs-exact";
       "parallel-vs-seeded";
       "serialize-roundtrip";
@@ -158,11 +158,11 @@ let test_case_seed_derivation () =
     "non-negative (usable as an Rng seed)" true
     (s 42 "msm-ratio" ~index:0 >= 0)
 
-(* Extra randomized coverage for the leapfrog/naive distribution
+(* Extra randomized coverage for the column-kernel/naive distribution
    equivalence beyond the pinned cram/CI seeds: fresh master seeds mean
    fresh dags, probability styles and oblivious schedules. *)
-let test_leapfrog_vs_naive_fresh_seeds () =
-  let prop = find "leapfrog-vs-naive" in
+let test_lanes_cols_vs_naive_fresh_seeds () =
+  let prop = find "lanes-cols-vs-naive" in
   List.iter
     (fun seed ->
       let r = Runner.run_property ~seed ~count:6 prop in
@@ -181,8 +181,8 @@ let () =
           Alcotest.test_case "green on a fresh seed" `Quick test_registry_green;
           Alcotest.test_case "property list golden" `Quick
             test_property_list_golden;
-          Alcotest.test_case "leapfrog vs naive, fresh seeds" `Quick
-            test_leapfrog_vs_naive_fresh_seeds;
+          Alcotest.test_case "lanes-cols vs naive, fresh seeds" `Quick
+            test_lanes_cols_vs_naive_fresh_seeds;
         ] );
       ( "failure pipeline",
         [

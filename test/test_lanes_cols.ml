@@ -154,7 +154,7 @@ let test_matches_naive_stats () =
   Alcotest.(check int) "naive completes" 0 naive.Engine.incomplete
 
 let () =
-  Alcotest.run "leapfrog"
+  Alcotest.run "lanes-cols"
     [
       ( "semantics",
         [

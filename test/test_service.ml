@@ -760,7 +760,7 @@ let test_service_estimate_and_exact () =
 let test_service_ping_and_range_subjobs () =
   (* Trial-range sub-jobs answer raw partial material whose concatenation
      is bit-identical to the engine's unsplit seeded run — the worker
-     half of the sharding coordinator's fan-out contract. *)
+     half of the range protocol's client-side fan-out contract. *)
   let solve range =
     Printf.sprintf
       {|{"op":"solve","id":"s","trials":100,"seed":5%s,"instance":"%s"}|}

@@ -1,12 +1,13 @@
 (* The sharding layer: consistent-hash ring, trial-range planning, and
-   the coordinator's end-to-end contract — the merged split response is
-   byte-identical to a single service, every admitted request is
-   answered exactly once in order, worker loss degrades instead of
-   hanging, and (new in the self-healing fleet) killed shards respawn,
-   rejoin the ring, and their late zombie answers are fenced off by
-   epoch. The coordinator suite runs twice: once over in-process pipe
-   workers and once over in-test TCP workers, so both transports carry
-   the same contract. *)
+   the coordinator's end-to-end contract — every request is routed
+   whole and its answer is byte-identical to a single service's, a
+   client's trial-range fan-out through the fleet merges back to the
+   unsplit answer, every admitted request is answered exactly once in
+   order, worker loss degrades instead of hanging, and (new in the
+   self-healing fleet) killed shards respawn, rejoin the ring, and their
+   late zombie answers are fenced off by epoch. The coordinator suite
+   runs twice: once over in-process pipe workers and once over in-test
+   TCP workers, so both transports carry the same contract. *)
 
 module Ring = Suu_shard.Ring
 module Dispatch = Suu_shard.Dispatch
@@ -16,6 +17,8 @@ module Service = Suu_service.Service
 module Tcp = Suu_service.Tcp
 module Json = Suu_service.Json
 module Fault = Suu_service.Fault
+module Request = Suu_service.Request
+module Merge = Suu_shard.Merge
 
 (* CI sweeps this seed over the chaos tests' structural assertions. *)
 let chaos_seed =
@@ -25,10 +28,15 @@ let chaos_seed =
 let instance_text = "suu 1\nn 2 m 2\nedges 0\nprobs\n0.9 0.5\n0.4 0.8"
 let escaped text = String.concat "\\n" (String.split_on_char '\n' text)
 
-let solve ?(trials = 40) ?(seed = 5) id =
+let solve ?(trials = 40) ?(seed = 5) ?ci_target id =
+  let ci =
+    match ci_target with
+    | None -> ""
+    | Some w -> Printf.sprintf {|"ci_target":%g,|} w
+  in
   Printf.sprintf
-    {|{"op":"solve","id":"%s","trials":%d,"seed":%d,"instance":"%s"}|} id
-    trials seed (escaped instance_text)
+    {|{"op":"solve","id":"%s","trials":%d,"seed":%d,%s"instance":"%s"}|} id
+    trials seed ci (escaped instance_text)
 
 let status line =
   match Json.of_string line with
@@ -110,8 +118,6 @@ let coord_config ~shards =
   {
     Coordinator.default_config with
     Coordinator.shards;
-    split_threshold = 16;
-    sub_inflight = 2;
     retries = 2;
     retry_backoff_ms = 0.1;
     (* The heartbeat races run_lines' short lifetimes; tests that want
@@ -276,9 +282,10 @@ let test_dispatch_invalid_args () =
 (* --- Coordinator (parameterized over the shard transport) --- *)
 
 let test_coordinator_matches_single_service spawn () =
-  (* Split requests (trials >= threshold), forwarded ones (below), and
-     repeats (cache hits on the owning shard): the coordinator's
-     response stream is byte-identical to one service's. *)
+  (* Small and large requests, a CI-stopped one, and repeats (cache hits
+     on the owning shard): at every fleet size each request is forwarded
+     whole, and the coordinator's response stream is byte-identical to
+     one service's. *)
   let lines =
     [
       solve ~trials:40 ~seed:5 "a";
@@ -286,20 +293,68 @@ let test_coordinator_matches_single_service spawn () =
       solve ~trials:8 ~seed:5 "small";
       solve ~trials:40 ~seed:5 "a2";
       solve ~trials:100 ~seed:11 "c";
+      solve ~trials:1000 ~seed:13 "big";
+      solve ~trials:1000 ~seed:17 ~ci_target:0.2 "ci";
     ]
   in
   let single, _ = Service.run_lines worker_config lines in
-  let sharded, report =
-    Coordinator.run_lines (coord_config ~shards:2) ~spawn lines
+  List.iter
+    (fun shards ->
+      let sharded, report =
+        Coordinator.run_lines (coord_config ~shards) ~spawn lines
+      in
+      let msg = Printf.sprintf "%d shards vs single service" shards in
+      check_byte_identical ~msg single sharded;
+      Alcotest.(check int) "all answered ok" (List.length lines)
+        report.Coordinator.metrics.Suu_service.Metrics.ok;
+      Alcotest.(check int) "every request forwarded whole" (List.length lines)
+        report.Coordinator.forwards;
+      Alcotest.(check int) "no shard lost" shards
+        report.Coordinator.shards_live)
+    [ 1; 2; 4 ]
+
+let test_coordinator_forwards_range_lines spawn () =
+  (* The "range" protocol stays a client's tool: cut a request into
+     word ranges (Dispatch.plan), send each as its own line
+     (Request.sub_line), and merge the partial answers (Merge). The
+     coordinator forwards every range line whole, and the merge is
+     byte-identical to one service's unsplit answer. *)
+  let whole = solve ~trials:200 ~seed:11 "w" in
+  let req =
+    match Request.of_line ~default_trials:40 ~default_seed:5 whole with
+    | Ok r -> r
+    | Error (msg, _) -> Alcotest.fail msg
   in
-  check_byte_identical ~msg:"vs single service" single sharded;
-  Alcotest.(check int) "all answered ok" (List.length lines)
-    report.Coordinator.metrics.Suu_service.Metrics.ok;
-  Alcotest.(check bool) "large requests split" true
-    (report.Coordinator.splits >= 3);
-  Alcotest.(check bool) "small request forwarded" true
-    (report.Coordinator.forwards >= 1);
-  Alcotest.(check int) "no shard lost" 2 report.Coordinator.shards_live
+  let ranges =
+    Dispatch.plan ~trials:200 ~chunk:(Dispatch.auto_chunk ~trials:200 ~shards:2)
+  in
+  let sub_lines =
+    List.map (fun (lo, hi) -> Request.sub_line req ~lo ~hi) ranges
+  in
+  let single, _ = Service.run_lines worker_config [ whole ] in
+  let out, report =
+    Coordinator.run_lines (coord_config ~shards:2) ~spawn sub_lines
+  in
+  Alcotest.(check int) "each range line forwarded" (List.length ranges)
+    report.Coordinator.forwards;
+  let parts =
+    List.map
+      (fun line ->
+        match Merge.classify line with
+        | Merge.Part p -> p
+        | _ -> Alcotest.failf "range answer is not a partial: %s" line)
+      out
+  in
+  let merged =
+    Request.ok ~id:(Some "w")
+      (("cached", Json.Bool false)
+      :: Merge.merged_fields
+           ~max_steps:
+             (Suu_sim.Engine.default_horizon
+                (Suu_harness.Io.of_string instance_text))
+           parts)
+  in
+  check_byte_identical ~msg:"merged ranges vs single service" single [ merged ]
 
 let test_coordinator_ping_and_order spawn () =
   let n = 12 in
@@ -343,8 +398,7 @@ let test_coordinator_stats_merge spawn () =
   Alcotest.(check (option int)) "all shards reporting" (Some 2)
     (Option.bind (field "shards_live" stats) Json.to_int);
   (* The shard object sums the workers' service counters: three solves
-     were forwarded (below the split threshold), however they were
-     spread over the fleet. *)
+     were forwarded, however they were spread over the fleet. *)
   let shard name =
     Option.bind (field "shard" stats) (fun o ->
         Option.bind (Json.member name o) Json.to_int)
@@ -742,6 +796,8 @@ let coordinator_cases spawn =
   [
     Alcotest.test_case "byte-identical to single service" `Quick
       (test_coordinator_matches_single_service spawn);
+    Alcotest.test_case "range lines forward whole and merge" `Quick
+      (test_coordinator_forwards_range_lines spawn);
     Alcotest.test_case "ping + response order" `Quick
       (test_coordinator_ping_and_order spawn);
     Alcotest.test_case "merged stats" `Quick
