@@ -4,8 +4,8 @@
    One utilization-calibrated instance (UUniFast split over heterogeneous
    speed factors); per churn rate, every contender is Monte-Carlo
    estimated under the same release vector and deterministic up/down
-   timeline. The adaptive families (suu-i-alg, suu-lzf) see the dynamics
-   only through eligibility; suu-fixed commits to a static pinning and
+   timeline. The adaptive family (suu-i-alg) sees the dynamics only
+   through eligibility; suu-fixed commits to a static pinning and
    suu-imp to a static schedule, so the sweep measures how much
    adaptivity buys as the environment degrades.
 
@@ -25,7 +25,6 @@ let repair = 6
 let contenders inst =
   [
     ("suu-i-alg", Suu_algo.Suu_i.policy inst);
-    ("suu-lzf", Suu_algo.Lzf.policy inst);
     ("suu-fixed", Suu_algo.Fixed_assignment.policy inst);
     ("suu-imp", Suu_algo.Improved.policy inst);
   ]
@@ -125,11 +124,11 @@ let run () =
   let releases = Workload.arrivals rng ~n ~mean_gap:2. in
   let rows = List.map (fun rate -> race_rate inst ~releases ~rate) churn_rates in
   table ~title:"EXP-DYN mean makespans as churn increases"
-    ~header:([ "rate" ] @ [ "suu-i-alg"; "suu-lzf"; "suu-fixed"; "suu-imp" ])
+    ~header:([ "rate" ] @ [ "suu-i-alg"; "suu-fixed"; "suu-imp" ])
     (List.map fst rows);
   merge_into_artifact (List.map snd rows);
   note
     "expected: all families degrade gracefully as machines churn; the \
-     adaptive index policies (suu-i-alg, suu-lzf) degrade slowest, the \
+     adaptive policy (suu-i-alg) degrades slowest, the \
      static commitments (suu-fixed pinning, suu-imp schedule) pay the \
      largest penalty at high rates."

@@ -129,11 +129,11 @@ let decompose_cmd =
     Term.(const run $ instance_arg)
 
 let algo_names =
-  [ "auto"; "adaptive"; "oblivious"; "improved"; "lzf"; "fixed"; "baselines" ]
+  [ "auto"; "adaptive"; "oblivious"; "improved"; "fixed"; "baselines" ]
 
 let solve_cmd =
   let algo_arg =
-    let doc = "Algorithm: auto|adaptive|oblivious|improved|lzf|fixed|baselines." in
+    let doc = "Algorithm: auto|adaptive|oblivious|improved|fixed|baselines." in
     Arg.(
       value
       & opt (enum (List.map (fun a -> (a, a)) algo_names)) "auto"
@@ -148,7 +148,6 @@ let solve_cmd =
       | "adaptive" -> [ Suu_algo.Solver.solve ~kind:`Adaptive inst ]
       | "oblivious" -> [ Suu_algo.Solver.solve ~kind:`Oblivious inst ]
       | "improved" -> [ Suu_algo.Solver.solve ~kind:`Improved inst ]
-      | "lzf" -> [ Suu_algo.Solver.solve ~kind:`Lzf inst ]
       | "fixed" -> [ Suu_algo.Solver.solve ~kind:`Fixed inst ]
       | "baselines" -> Suu_algo.Baselines.all ~seed inst
       | _ -> (
@@ -158,7 +157,6 @@ let solve_cmd =
             | exception Suu_algo.Solver.Unsupported _ -> [])
           @ [
               Suu_algo.Solver.solve ~kind:`Improved inst;
-              Suu_algo.Solver.solve ~kind:`Lzf inst;
               Suu_algo.Solver.solve ~kind:`Fixed inst;
             ])
     in

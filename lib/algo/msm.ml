@@ -1,31 +1,17 @@
 module Instance = Suu_core.Instance
 module Assignment = Suu_core.Assignment
+module Policy = Suu_core.Policy
 
-(* Core greedy scan, writing into caller-provided scratch: [a] receives
-   the assignment, [mass] the accumulated per-job mass. O(nm) per call —
-   one pass over the cached sorted pairs, no allocation. *)
-let assign_into inst ~jobs ~mass a =
-  if Array.length jobs <> Instance.n inst then
-    invalid_arg "Msm.assign: jobs length mismatch";
-  Array.fill a 0 (Array.length a) Assignment.idle_job;
-  Array.fill mass 0 (Array.length mass) 0.;
-  let ps, ms, js = Instance.sorted_pairs inst in
-  for k = 0 to Array.length ps - 1 do
-    let j = js.(k) in
-    if jobs.(j) then begin
-      let i = ms.(k) in
-      let p = ps.(k) in
-      if a.(i) = Assignment.idle_job && mass.(j) +. p <= 1. +. 1e-12 then begin
-        a.(i) <- j;
-        mass.(j) <- mass.(j) +. p
-      end
-    end
-  done
-
+(* One pass of the shared greedy scan over the cached sorted pairs. *)
 let assign inst ~jobs =
-  let a = Assignment.idle (Instance.m inst) in
-  let mass = Array.make (Instance.n inst) 0. in
-  assign_into inst ~jobs ~mass a;
+  let n = Instance.n inst and m = Instance.m inst in
+  if Array.length jobs <> n then
+    invalid_arg "Msm.assign: jobs length mismatch";
+  let g_probs, g_machines, g_jobs = Instance.sorted_pairs inst in
+  let a = Assignment.idle m in
+  Policy.greedy_assign_into
+    { Policy.g_probs; g_machines; g_jobs; g_n = n; g_m = m }
+    ~eligible:jobs ~mass:(Array.make n 0.) a;
   a
 
 let total_mass inst a =

@@ -12,18 +12,8 @@ val assign :
 (** One-step assignment over the jobs with [jobs.(j) = true] (the
     "unfinished" set the scheduler is targeting); other jobs receive no
     machines. Deterministic: ties are broken by machine then job index.
-    O(nm): a single pass over the instance's cached pair order. *)
-
-val assign_into :
-  Suu_core.Instance.t ->
-  jobs:bool array ->
-  mass:float array ->
-  Suu_core.Assignment.t ->
-  unit
-(** Allocation-free {!assign}: writes the assignment into the given
-    array (length [m]) and the accumulated per-job mass into [mass]
-    (length [n]), resetting both first. The per-step form used by
-    adaptive policies inside the simulation loop. *)
+    O(nm): a single {!Suu_core.Policy.greedy_assign_into} pass over the
+    instance's cached pair order. *)
 
 val total_mass : Suu_core.Instance.t -> Suu_core.Assignment.t -> float
 (** Objective value of an assignment: [Σ_j min(mass_j, 1)]. *)

@@ -1,6 +1,6 @@
 module Classify = Suu_dag.Classify
 
-type kind = [ `Adaptive | `Oblivious | `Improved | `Lzf | `Fixed ]
+type kind = [ `Adaptive | `Oblivious | `Improved | `Fixed ]
 
 exception Unsupported of string
 
@@ -10,7 +10,6 @@ let algorithm_name ?(kind = `Oblivious) ?(allow_heuristic = false) inst =
   match kind with
   | `Adaptive -> "suu-i-alg"
   | `Improved -> "suu-imp"
-  | `Lzf -> "suu-lzf"
   | `Fixed -> "suu-fixed"
   | `Oblivious -> (
       match shape inst with
@@ -28,7 +27,6 @@ let solve ?(kind = `Oblivious) ?(allow_heuristic = false) ?params inst =
       (* The improved family ignores the Pipeline constants knob: its
          only tunables live in Phased.params. Supports every DAG. *)
       Improved.policy inst
-  | `Lzf -> Lzf.policy inst
   | `Fixed -> Fixed_assignment.policy inst
   | `Oblivious -> (
       match shape inst with

@@ -19,12 +19,12 @@
     independent subroutine per level — so it never raises
     {!Unsupported}.
 
-    [`Lzf] and [`Fixed] are the dynamic-environment index-policy family
-    ({!Lzf}, {!Fixed_assignment}): cheap adaptive regimens for online
-    settings with release dates and machine churn. Both support every
-    DAG class and never raise {!Unsupported}. *)
+    [`Fixed] is the dynamic-environment index policy
+    ({!Fixed_assignment}): a cheap regimen that pins each job to one
+    machine, for online settings with release dates and machine churn.
+    It supports every DAG class and never raises {!Unsupported}. *)
 
-type kind = [ `Adaptive | `Oblivious | `Improved | `Lzf | `Fixed ]
+type kind = [ `Adaptive | `Oblivious | `Improved | `Fixed ]
 
 exception Unsupported of string
 (** Raised for [`Oblivious] on a general DAG unless [allow_heuristic] —

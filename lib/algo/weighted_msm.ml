@@ -1,6 +1,7 @@
 module Instance = Suu_core.Instance
 module Assignment = Suu_core.Assignment
 module Dag = Suu_dag.Dag
+module Policy = Suu_core.Policy
 
 type weighting = Uniform | Descendants | Critical_path
 
@@ -28,15 +29,12 @@ let weights inst = function
       done;
       Array.map Float.of_int depth
 
-(* Ranking of the instance's cached pair order by p_ij · w_j (descending;
-   ties by machine then job): pair indices into Instance.sorted_pairs.
+(* The instance's cached pair order re-ranked by p_ij · w_j (descending;
+   ties by machine then job), materialised as permuted pair arrays.
    Computed once per weight vector — per policy, not per step. *)
-let ranking inst ~weights =
-  if Array.length weights <> Instance.n inst then
-    invalid_arg "Weighted_msm.ranking: weights length mismatch";
+let ranked_pairs inst ~weights =
   let ps, ms, js = Instance.sorted_pairs inst in
-  let k = Array.length ps in
-  let order = Array.init k (fun q -> q) in
+  let order = Array.init (Array.length ps) (fun q -> q) in
   let score q = ps.(q) *. weights.(js.(q)) in
   Array.sort
     (fun a b ->
@@ -44,34 +42,20 @@ let ranking inst ~weights =
       | 0 -> compare (ms.(a), js.(a)) (ms.(b), js.(b))
       | c -> c)
     order;
-  order
-
-(* Greedy scan over a precomputed ranking, writing into caller scratch. *)
-let assign_ranked_into inst ~order ~jobs ~mass a =
-  if Array.length jobs <> Instance.n inst then
-    invalid_arg "Weighted_msm.assign: jobs length mismatch";
-  Array.fill a 0 (Array.length a) Assignment.idle_job;
-  Array.fill mass 0 (Array.length mass) 0.;
-  let ps, ms, js = Instance.sorted_pairs inst in
-  for q = 0 to Array.length order - 1 do
-    let k = order.(q) in
-    let j = js.(k) in
-    if jobs.(j) then begin
-      let i = ms.(k) in
-      let p = ps.(k) in
-      if a.(i) = Assignment.idle_job && mass.(j) +. p <= 1. +. 1e-12 then begin
-        a.(i) <- j;
-        mass.(j) <- mass.(j) +. p
-      end
-    end
-  done
+  let permute xs = Array.map (fun q -> xs.(q)) order in
+  (permute ps, permute ms, permute js)
 
 let assign inst ~weights ~jobs =
-  if Array.length weights <> Instance.n inst then
+  let n = Instance.n inst and m = Instance.m inst in
+  if Array.length weights <> n then
     invalid_arg "Weighted_msm.assign: weights length mismatch";
-  let a = Assignment.idle (Instance.m inst) in
-  let mass = Array.make (Instance.n inst) 0. in
-  assign_ranked_into inst ~order:(ranking inst ~weights) ~jobs ~mass a;
+  if Array.length jobs <> n then
+    invalid_arg "Weighted_msm.assign: jobs length mismatch";
+  let g_probs, g_machines, g_jobs = ranked_pairs inst ~weights in
+  let a = Assignment.idle m in
+  Policy.greedy_assign_into
+    { Policy.g_probs; g_machines; g_jobs; g_n = n; g_m = m }
+    ~eligible:jobs ~mass:(Array.make n 0.) a;
   a
 
 let name_of = function
@@ -80,13 +64,8 @@ let name_of = function
   | Critical_path -> "msm-critical-path"
 
 let policy ?(weighting = Critical_path) inst =
-  let w = weights inst weighting in
-  let order = ranking inst ~weights:w in
-  let n = Instance.n inst and m = Instance.m inst in
-  Suu_core.Policy.make (name_of weighting) (fun () ->
-      let a = Assignment.idle m in
-      let mass = Array.make n 0. in
-      fun state ->
-        assign_ranked_into inst ~order
-          ~jobs:state.Suu_core.Policy.eligible ~mass a;
-        a)
+  let probs, machines, jobs =
+    ranked_pairs inst ~weights:(weights inst weighting)
+  in
+  Policy.of_greedy_pairs (name_of weighting) ~n:(Instance.n inst)
+    ~m:(Instance.m inst) ~probs ~machines ~jobs

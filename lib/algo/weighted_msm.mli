@@ -26,10 +26,15 @@ val assign :
   weights:float array ->
   jobs:bool array ->
   Suu_core.Assignment.t
-(** Greedy scan by non-increasing [p_ij · w_j], same mass cap and
-    machine-use rules as {!Msm.assign}. *)
+(** Greedy scan by non-increasing [p_ij · w_j] (ties by machine then
+    job), same mass cap and machine-use rules as {!Msm.assign}.
+    @raise Invalid_argument when [weights] or [jobs] is not of length
+    [n]. *)
 
 val policy : ?weighting:weighting -> Suu_core.Instance.t -> Suu_core.Policy.t
 (** Adaptive policy applying [assign] to the eligible set each step
-    (default weighting [Critical_path]). Named
+    (default weighting [Critical_path]): a greedy pair-scan regimen
+    ({!Suu_core.Policy.of_greedy_pairs}) over the pairs ranked once by
+    [p_ij · w_j], so the engine's estimators run it on the vectorized
+    trial-lane kernel. Named
     ["msm-uniform" | "msm-descendants" | "msm-critical-path"]. *)

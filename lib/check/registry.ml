@@ -11,7 +11,6 @@ module Suu_i_obl = Suu_algo.Suu_i_obl
 module Phased = Suu_algo.Phased
 module Improved = Suu_algo.Improved
 module Malewicz = Suu_algo.Malewicz
-module Lzf = Suu_algo.Lzf
 module Fixed_assignment = Suu_algo.Fixed_assignment
 module Churn = Suu_dyn.Churn
 module Engine = Suu_sim.Engine
@@ -971,7 +970,7 @@ let improved_ratio =
                 mean topt
             else Pass)
 
-(* --- 17. index-policy family validity ------------------------------ *)
+(* --- 17. fixed-assignment validity --------------------------------- *)
 
 (* Replay a traced execution against the engine's own rules: every drawn
    (machine, job) pair must have positive probability on an unfinished,
@@ -1029,29 +1028,6 @@ let replay_violation inst history ~extra =
             go rest)
   in
   go history
-
-let lzf_validity =
-  Property.make ~name:"lzf-validity" ~sizes:Gen.small
-    ~doc:
-      "the Largest-Z-ratio-First index policy (suu-lzf) carries the greedy \
-       structure tag, only ever draws positive-probability pairs on \
-       unfinished eligible jobs within the greedy mass cap, and completes \
-       every execution within the default horizon"
-    (fun case ->
-      let inst = Case.instance case in
-      let rng = Case.aux_rng case in
-      let policy = Lzf.policy inst in
-      if policy.Policy.structure = Policy.General then
-        Fail "suu-lzf carries no vectorizable structure tag"
-      else
-        let history = Engine.trace rng inst policy in
-        match replay_violation inst history ~extra:(fun ~machine:_ ~job:_ -> None) with
-        | Some msg -> Fail msg
-        | None ->
-            let outcome = Engine.run rng inst policy in
-            if not outcome.Engine.completed then
-              Fail "execution hit the default horizon"
-            else Pass)
 
 let fixed_validity =
   Property.make ~name:"fixed-validity" ~sizes:Gen.small
@@ -1212,7 +1188,6 @@ let all =
     shard_heal;
     improved_validity;
     improved_ratio;
-    lzf_validity;
     fixed_validity;
     churn_mask;
     churn_monotone;

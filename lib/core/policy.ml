@@ -38,6 +38,22 @@ let of_oblivious name sched =
    slack). *)
 let greedy_mass_cap = 1. +. 1e-12
 
+let greedy_assign_into g ~eligible ~mass a =
+  Array.fill a 0 g.g_m Assignment.idle_job;
+  Array.fill mass 0 g.g_n 0.;
+  for k = 0 to Array.length g.g_probs - 1 do
+    let j = g.g_jobs.(k) in
+    if eligible.(j) then begin
+      let i = g.g_machines.(k) in
+      let p = g.g_probs.(k) in
+      if a.(i) = Assignment.idle_job && mass.(j) +. p <= greedy_mass_cap
+      then begin
+        a.(i) <- j;
+        mass.(j) <- mass.(j) +. p
+      end
+    end
+  done
+
 let of_greedy_pairs name ~n ~m ~probs ~machines ~jobs =
   let k = Array.length probs in
   if Array.length machines <> k || Array.length jobs <> k then
@@ -58,21 +74,7 @@ let of_greedy_pairs name ~n ~m ~probs ~machines ~jobs =
         let a = Assignment.idle m in
         let mass = Array.make n 0. in
         fun state ->
-          Array.fill a 0 m Assignment.idle_job;
-          Array.fill mass 0 n 0.;
-          let elig = state.eligible in
-          for k = 0 to Array.length probs - 1 do
-            let j = jobs.(k) in
-            if elig.(j) then begin
-              let i = machines.(k) in
-              let p = probs.(k) in
-              if a.(i) = Assignment.idle_job && mass.(j) +. p <= greedy_mass_cap
-              then begin
-                a.(i) <- j;
-                mass.(j) <- mass.(j) +. p
-              end
-            end
-          done;
+          greedy_assign_into g ~eligible:state.eligible ~mass a;
           a);
   }
 

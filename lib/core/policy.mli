@@ -56,6 +56,15 @@ val greedy_mass_cap : float
     scalar decision function and the engine's vectorized kernel so both
     execute the identical policy. *)
 
+val greedy_assign_into :
+  greedy -> eligible:bool array -> mass:float array -> Assignment.t -> unit
+(** The scalar greedy scan — MSM-ALG's allocation loop, and the one
+    scalar implementation of it: resets the assignment (length [g_m]) to
+    idle and [mass] (length [g_n]) to zero, then takes each pair in
+    array order whose job is [eligible], whose machine is still idle and
+    whose job mass stays within {!greedy_mass_cap}. [mass] ends holding
+    each job's accumulated success mass. Allocates nothing. *)
+
 val make : string -> (unit -> state -> Assignment.t) -> t
 (** A general policy from its [fresh] function (structure [General]). *)
 
@@ -74,10 +83,10 @@ val of_greedy_pairs :
   jobs:int array ->
   t
 (** The greedy pair-scan regimen over the given pair arrays (scanned in
-    index order). The scalar decision function is bit-identical to
-    [Msm.assign_into]'s scan; the structure tag lets the engine's
-    estimators take the vectorized trial-lane path. Raises [Invalid_argument]
-    if the arrays' lengths disagree or an index is out of range. *)
+    index order). The scalar decision function runs {!greedy_assign_into}
+    on the eligible set; the structure tag lets the engine's estimators
+    take the vectorized trial-lane path. Raises [Invalid_argument] if the
+    arrays' lengths disagree or an index is out of range. *)
 
 val of_regimen : string -> (bool array -> Assignment.t) -> t
 (** A regimen (Definition 2.2): the assignment depends only on the

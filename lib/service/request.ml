@@ -2,14 +2,13 @@ module Instance = Suu_core.Instance
 module Io = Suu_harness.Io
 module Churn = Suu_dyn.Churn
 
-type algo = [ `Auto | `Adaptive | `Oblivious | `Improved | `Lzf | `Fixed ]
+type algo = [ `Auto | `Adaptive | `Oblivious | `Improved | `Fixed ]
 
 let algo_name = function
   | `Auto -> "auto"
   | `Adaptive -> "adaptive"
   | `Oblivious -> "oblivious"
   | `Improved -> "improved"
-  | `Lzf -> "lzf"
   | `Fixed -> "fixed"
 
 type op =
@@ -174,7 +173,6 @@ let of_line ~default_trials ~default_seed ?default_ci_target line =
                 | Some (Json.Str "adaptive") -> `Adaptive
                 | Some (Json.Str "oblivious") -> `Oblivious
                 | Some (Json.Str "improved") -> `Improved
-                | Some (Json.Str "lzf") -> `Lzf
                 | Some (Json.Str "fixed") -> `Fixed
                 | Some (Json.Str other) ->
                     fail "algo: unknown algorithm %S" other
@@ -260,7 +258,7 @@ let of_line ~default_trials ~default_seed ?default_ci_target line =
 
 let canonical_algo = function
   | `Auto -> `Adaptive
-  | (`Adaptive | `Oblivious | `Improved | `Lzf | `Fixed) as a -> a
+  | (`Adaptive | `Oblivious | `Improved | `Fixed) as a -> a
 
 let range_suffix = function
   | None -> ""

@@ -11,7 +11,7 @@
     fields:
     {v
     {"op":"solve","instance":S,
-     "algo":"auto|adaptive|oblivious|improved|lzf|fixed",
+     "algo":"auto|adaptive|oblivious|improved|fixed",
      "trials":K,"seed":N,"range":[lo,hi],"ci_target":W,
      "releases":[r0,...],"churn":"seed=..,rate=..,..",...}
     {"op":"estimate","instance":S,"plan":P,"trials":K,"seed":N,
@@ -49,12 +49,12 @@
     Responses carry ["id"], ["status"] (["ok"|"error"|"timeout"]) and
     status-specific fields. *)
 
-type algo = [ `Auto | `Adaptive | `Oblivious | `Improved | `Lzf | `Fixed ]
+type algo = [ `Auto | `Adaptive | `Oblivious | `Improved | `Fixed ]
 
 val algo_name : algo -> string
 
 val canonical_algo :
-  algo -> [ `Adaptive | `Oblivious | `Improved | `Lzf | `Fixed ]
+  algo -> [ `Adaptive | `Oblivious | `Improved | `Fixed ]
 (** The algorithm actually executed: [`Auto] is the practical default and
     resolves to [`Adaptive]; the named algorithms are themselves. Cache
     keys use the canonical form so "auto" and "adaptive" requests for the

@@ -57,7 +57,6 @@ let test_property_list_golden () =
       "shard-heal";
       "improved-validity";
       "improved-ratio";
-      "lzf-validity";
       "fixed-validity";
       "churn-mask";
       "churn-monotone";

@@ -25,25 +25,36 @@ let mixed_inst () =
 let test_greedy_ref_bit_identical () =
   (* Lane [l] of the ref mode replays the scalar draw order from its own
      generator, so it must reproduce [Engine.run] on an equally-seeded
-     generator exactly — per lane, not just in law. *)
+     generator exactly — per lane, not just in law. Every greedy-pairs
+     policy is an input: p-descending (SUU-I-ALG), p·w-ranked
+     (critical-path MSM) and one pinned pair per job (fixed). *)
   let inst = mixed_inst () in
   let releases = Array.init 12 (fun j -> if j mod 5 = 0 then 2 else 0) in
-  let policy = Suu_algo.Suu_i.policy inst in
-  let k = Option.get (Lanes.create ~releases inst policy) in
-  let lanes = 20 and max_steps = 10_000 in
-  let rngs = Array.init lanes (fun l -> Rng.create (7000 + (31 * l))) in
-  let makespans = Array.make lanes 0 in
-  Lanes.run_word_ref k ~rngs ~max_steps ~makespans;
-  for l = 0 to lanes - 1 do
-    let o =
-      Engine.run ~max_steps ~releases (Rng.create (7000 + (31 * l))) inst policy
-    in
-    Alcotest.(check bool) (Printf.sprintf "lane %d completed" l) true
-      o.Engine.completed;
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d = scalar stepper" l)
-      o.Engine.makespan makespans.(l)
-  done
+  List.iter
+    (fun (policy : Policy.t) ->
+      let k = Option.get (Lanes.create ~releases inst policy) in
+      let lanes = 20 and max_steps = 10_000 in
+      let rngs = Array.init lanes (fun l -> Rng.create (7000 + (31 * l))) in
+      let makespans = Array.make lanes 0 in
+      Lanes.run_word_ref k ~rngs ~max_steps ~makespans;
+      for l = 0 to lanes - 1 do
+        let o =
+          Engine.run ~max_steps ~releases
+            (Rng.create (7000 + (31 * l)))
+            inst policy
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s lane %d completed" policy.name l)
+          true o.Engine.completed;
+        Alcotest.(check int)
+          (Printf.sprintf "%s lane %d = scalar stepper" policy.name l)
+          o.Engine.makespan makespans.(l)
+      done)
+    [
+      Suu_algo.Suu_i.policy inst;
+      Suu_algo.Weighted_msm.policy inst;
+      Suu_algo.Fixed_assignment.policy inst;
+    ]
 
 let test_ref_mode_cols_rejected () =
   let inst = Instance.independent ~p:[| [| 0.5 |] |] in

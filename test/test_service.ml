@@ -360,7 +360,6 @@ let test_request_algo_roundtrip () =
       ("adaptive", "adaptive");
       ("oblivious", "oblivious");
       ("improved", "improved");
-      ("lzf", "lzf");
       ("fixed", "fixed");
     ]
 
@@ -567,11 +566,9 @@ let test_cache_key_semantics () =
     (key (algo_line "improved") <> key (algo_line "oblivious"));
   Alcotest.(check bool) "improved vs auto distinct" true
     (key (algo_line "improved") <> key (algo_line "auto"));
-  (* The index-policy families are distinct computations too. *)
-  Alcotest.(check bool) "lzf vs adaptive distinct" true
-    (key (algo_line "lzf") <> key (algo_line "adaptive"));
-  Alcotest.(check bool) "fixed vs lzf distinct" true
-    (key (algo_line "fixed") <> key (algo_line "lzf"));
+  (* The index-policy family is a distinct computation too. *)
+  Alcotest.(check bool) "fixed vs adaptive distinct" true
+    (key (algo_line "fixed") <> key (algo_line "adaptive"));
   Alcotest.(check bool) "fixed vs improved distinct" true
     (key (algo_line "fixed") <> key (algo_line "improved"));
   match decode {|{"op":"stats"}|} with

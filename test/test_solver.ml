@@ -58,6 +58,67 @@ let prop_dispatch_completes =
       && (Suu_sim.Engine.run (Rng.split rng) inst oblivious)
            .Suu_sim.Engine.completed)
 
+(* Every served kind, each naming its successor: adding a [Solver.kind]
+   breaks this exhaustive match until the audit below lists it. *)
+let rec kinds_from (k : Solver.kind) =
+  k
+  ::
+  (match k with
+  | `Adaptive -> kinds_from `Oblivious
+  | `Oblivious -> kinds_from `Improved
+  | `Improved -> kinds_from `Fixed
+  | `Fixed -> [])
+
+(* Equivalence audit: two served kinds whose seeded sample vectors agree
+   on every generated case are one behaviour under two names (a Z-ratio
+   index policy, for one, is SUU-I-ALG's scan with another tie-break).
+   Each kind must differ from every other on some case. *)
+let test_equivalence_audit () =
+  let kinds = kinds_from `Adaptive in
+  (* A probability floor bounds the horizons, as for the simulating
+     conformance properties: without it one near-zero entry makes a case
+     cost a minute of policy building and stepping. The floor stays low
+     because every entry below it is clamped to the same value, and at
+     0.05 the resulting ties already let a mere tie-break separate two
+     runs of one scan. *)
+  let sizes (g : Suu_check.Gen.sizes) = { g with min_prob = 1e-3 } in
+  let rng = Rng.create 5 in
+  let cases =
+    List.init 30 (fun _ -> Suu_check.Gen.case rng (sizes Suu_check.Gen.small))
+    @ List.init 30 (fun _ ->
+          Suu_check.Gen.case rng (sizes Suu_check.Gen.default))
+  in
+  let vectors =
+    List.map
+      (fun case ->
+        let inst = Suu_check.Case.instance case in
+        List.map
+          (fun kind ->
+            let policy = Solver.solve ~kind ~allow_heuristic:true inst in
+            (Suu_sim.Engine.estimate_makespan_seeded ~trials:126 ~seed:5 inst
+               policy)
+              .Suu_sim.Engine.samples)
+          kinds)
+      cases
+  in
+  let name k = Suu_service.Request.algo_name (k :> Suu_service.Request.algo) in
+  List.iteri
+    (fun a ka ->
+      List.iteri
+        (fun b kb ->
+          if a < b then
+            let same =
+              List.for_all
+                (fun per_kind -> List.nth per_kind a = List.nth per_kind b)
+                vectors
+            in
+            if same then
+              Alcotest.failf
+                "%s and %s gave identical sample vectors on all %d cases"
+                (name ka) (name kb) (List.length cases))
+        kinds)
+    kinds
+
 let () =
   Alcotest.run "solver"
     [
@@ -70,4 +131,9 @@ let () =
           Alcotest.test_case "adaptive general" `Quick test_adaptive_general_works;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_dispatch_completes ]);
+      ( "equivalence audit",
+        [
+          Alcotest.test_case "served kinds are distinct" `Quick
+            test_equivalence_audit;
+        ] );
     ]
