@@ -46,7 +46,34 @@ let tests () =
      mode). *)
   let obl_policy = Suu_algo.Suu_i_obl.policy inst64 in
   let tiny = indep_instance 8 2 in
+  (* The served wire layer on the same instance: one 1-trial solve line
+     as a client sends it, decoded (JSON, instance text) and keyed. *)
+  let wire_line =
+    Suu_service.Json.(
+      to_string
+        (Obj
+           [
+             ("op", Str "solve");
+             ("id", Str "w");
+             ("algo", Str "adaptive");
+             ("trials", int 1);
+             ("seed", int 3);
+             ("instance", Str (Suu_harness.Io.to_string inst64));
+           ]))
+  in
+  let decode () =
+    match
+      Suu_service.Request.of_line ~default_trials:1 ~default_seed:0 wire_line
+    with
+    | Ok req -> req
+    | Error (msg, _) -> failwith msg
+  in
+  let wire_req = decode () in
   [
+    Test.make ~name:"Request.of_line (wire line n=64 m=16)"
+      (Staged.stage decode);
+    Test.make ~name:"Request.cache_key (n=64 m=16)"
+      (Staged.stage (fun () -> Suu_service.Request.cache_key wire_req));
     Test.make ~name:"msm_alg n=64 m=16"
       (Staged.stage (fun () -> Suu_algo.Msm.assign inst64 ~jobs:jobs64));
     Test.make ~name:"msm_e_alg n=64 m=16 t=1000"

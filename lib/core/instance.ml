@@ -7,16 +7,15 @@ type t = {
      through this single unboxed float array instead of chasing the row
      pointer of [p]. *)
   pflat : float array;
-  (* The positive-probability pairs, sorted once at construction by
-     non-increasing [p_ij] with ties broken by (machine, job) — the
-     greedy processing order shared by the whole MSM algorithm family.
-     Stored as parallel arrays so a scan touches flat unboxed memory:
-     [sorted_p.(k)] is the probability of the [k]-th pair,
-     [sorted_machine.(k)] / [sorted_job.(k)] its coordinates. Immutable
-     after construction, hence safe to share across domains. *)
-  sorted_p : float array;
-  sorted_machine : int array;
-  sorted_job : int array;
+  (* The positive-probability pairs by non-increasing [p_ij], ties
+     broken by (machine, job) — the greedy processing order shared by
+     the whole MSM algorithm family — as parallel (probability,
+     machine, job) arrays, so a scan touches flat unboxed memory.
+     Sorted on first use rather than in [create]: cache hits, [info]
+     requests and non-greedy algorithms never read it. The sort is a
+     pure function of [pflat], so when domains race, whichever
+     publishes first wins and all see equal arrays. *)
+  sorted : (float array * int array * int array) option Atomic.t;
   dag : Suu_dag.Dag.t;
 }
 
@@ -128,17 +127,12 @@ let create ~p ~dag =
       pflat.((i * n) + j) <- p.(i).(j)
     done
   done;
-  let sorted_p, sorted_machine, sorted_job =
-    if n = 0 then ([||], [||], [||]) else build_sorted_pairs ~m ~n pflat
-  in
   {
     nm = m;
     nj = n;
     p = Array.map Array.copy p;
     pflat;
-    sorted_p;
-    sorted_machine;
-    sorted_job;
+    sorted = Atomic.make None;
     dag;
   }
 
@@ -155,8 +149,13 @@ let n t = t.nj
 let m t = t.nm
 let dag t = t.dag
 let prob t ~machine ~job = t.pflat.((machine * t.nj) + job)
-let sorted_pairs t = (t.sorted_p, t.sorted_machine, t.sorted_job)
-let pair_count t = Array.length t.sorted_p
+let sorted_pairs t =
+  match Atomic.get t.sorted with
+  | Some pairs -> pairs
+  | None ->
+      let pairs = build_sorted_pairs ~m:t.nm ~n:t.nj t.pflat in
+      if Atomic.compare_and_set t.sorted None (Some pairs) then pairs
+      else Option.get (Atomic.get t.sorted)
 
 let probs_for_job t j = Array.init t.nm (fun i -> t.p.(i).(j))
 

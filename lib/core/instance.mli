@@ -64,14 +64,13 @@ val sorted_pairs : t -> float array * int array * int array
 (** [(probs, machines, jobs)]: the positive-probability pairs in the MSM
     greedy processing order — non-increasing [p_ij], ties by machine then
     job — as parallel arrays ([probs.(k)] is the probability of pair [k],
-    assigned to machine [machines.(k)] and job [jobs.(k)]). Computed once
-    at construction and cached, so per-step MSM decisions scan it in
-    O(nm) instead of rebuilding and re-sorting the pair list. The arrays
-    are shared; callers must not mutate them. *)
-
-val pair_count : t -> int
-(** Number of positive-probability pairs ([Array.length] of each
-    {!sorted_pairs} component). *)
+    assigned to machine [machines.(k)] and job [jobs.(k)]). Sorted on the
+    first call and cached, so per-step MSM decisions scan it in O(nm)
+    instead of rebuilding and re-sorting the pair list; instances whose
+    pairs are never read never pay for the sort. Safe to call from
+    several domains at once: every caller gets arrays equal to those a
+    single caller would see. The arrays are shared; callers must not
+    mutate them. *)
 
 val probs_for_job : t -> int -> float array
 (** Column of [p] for a job: index by machine. *)

@@ -11,7 +11,9 @@
     v} *)
 
 val write : out_channel -> Suu_core.Instance.t -> unit
+
 val read : in_channel -> Suu_core.Instance.t
+(** Read the rest of the channel and parse it as {!of_string} does. *)
 
 val save : string -> Suu_core.Instance.t -> unit
 (** Write to a file path. *)
@@ -21,13 +23,22 @@ val load : string -> Suu_core.Instance.t
     @raise Failure on malformed input. *)
 
 val to_string : Suu_core.Instance.t -> string
+
 val of_string : string -> Suu_core.Instance.t
+(** Parse in one pass over the text, numbers straight into the rows.
+    Counts read from the header are checked against the length of the
+    rest of the text before anything of their size is allocated.
+    @raise Failure ["Io.read: ..."] on malformed input. *)
 
 val digest : Suu_core.Instance.t -> string
-(** Hex content digest of the canonical serialisation ([to_string]) —
-    equal instances give equal digests regardless of how they were built.
-    Used by the serving layer ({!Suu_service}) as the instance part of
-    result-cache keys. *)
+(** Hex MD5 of a framed binary image of the instance: [n], [m], the edge
+    count and the edges in {!Suu_dag.Dag.edges} order as 64-bit
+    little-endian integers, then [Int64.bits_of_float] of every [p_ij]
+    in machine-major order. Two instances share a digest iff they have
+    the same shape, the same edge set and bit-identical probabilities,
+    however their text was spelled ([0.5], [5e-1] and [0.50] agree) and
+    however they were built. Used by the serving layer ({!Suu_service})
+    as the instance part of result-cache keys. *)
 
 (** {1 Oblivious schedule files}
 

@@ -174,9 +174,14 @@ let of_string s =
                   add_codepoint buf cp
               | _ -> fail "bad escape character");
               loop ())
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
+      | Some _ ->
+          (* Copy the whole unescaped run up to the next quote or
+             backslash in one go. *)
+          let start = !pos in
+          while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
+            advance ()
+          done;
+          Buffer.add_substring buf s start (!pos - start);
           loop ()
     in
     loop ();

@@ -551,9 +551,9 @@ let handle_job cfg ~metrics ~cache ~queue ~em job =
         Trace.with_span cfg.tracer ~cat:"service" ~attrs:span_attrs "request"
         @@ fun () ->
         (* A zero-capacity cache stores nothing, so its key — an
-           [Io.digest] re-serialisation of the whole instance — is never
-           computed: the lookup still counts its miss and the answer
-           still carries "cached":false. *)
+           [Io.digest] hash over every probability of the instance — is
+           never computed: the lookup still counts its miss and the
+           answer still carries "cached":false. *)
         let key =
           if Cache.capacity cache > 0 then Request.cache_key req
           else if Request.cacheable req then Some ""

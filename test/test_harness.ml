@@ -60,9 +60,16 @@ let instances_equal a b =
        (fun i ->
          List.for_all
            (fun j ->
-             Instance.prob a ~machine:i ~job:j = Instance.prob b ~machine:i ~job:j)
+             Int64.equal
+               (Int64.bits_of_float (Instance.prob a ~machine:i ~job:j))
+               (Int64.bits_of_float (Instance.prob b ~machine:i ~job:j)))
            (List.init (Instance.n a) (fun j -> j)))
        (List.init (Instance.m a) (fun i -> i))
+
+let schedules_equal a b =
+  a.Suu_core.Oblivious.m = b.Suu_core.Oblivious.m
+  && a.Suu_core.Oblivious.prefix = b.Suu_core.Oblivious.prefix
+  && a.Suu_core.Oblivious.cycle = b.Suu_core.Oblivious.cycle
 
 let test_io_roundtrip_string () =
   let inst = sample_instance 1 in
@@ -98,18 +105,236 @@ let test_io_rejects_truncated () =
 let test_io_rejects_hostile_sizes () =
   (* Negative sizes must fail with [Failure] like any other parse error —
      not escape as [Invalid_argument] from [Array.init] (a live service
-     reader treats only [Failure] as a malformed request). *)
-  let bad s =
-    match Io.of_string s with
-    | exception Failure _ -> ()
+     reader treats only [Failure] as a malformed request). Sizes the
+     text cannot hold must fail before anything of that size is
+     allocated, so quickly and never with [Out_of_memory]. *)
+  let bad ?msg s =
+    let t0 = Sys.time () in
+    (match Io.of_string s with
+    | exception Failure got -> (
+        match msg with
+        | Some want -> Alcotest.(check string) s want got
+        | None -> ())
     | exception e ->
         Alcotest.fail ("wrong exception: " ^ Printexc.to_string e)
-    | _ -> Alcotest.fail ("accepted hostile input: " ^ s)
+    | _ -> Alcotest.fail ("accepted hostile input: " ^ s));
+    if Sys.time () -. t0 > 1. then Alcotest.fail ("slow rejection: " ^ s)
   in
   bad "suu 1\nn 0 m -1\nedges 0\nprobs";
   bad "suu 1\nn -1 m 1\nedges 0\nprobs";
   bad "suu 1\nn 0 m 0\nedges 0\nprobs";
-  bad "suu 1\nn 1 m 1\nedges -1\nprobs\n0.5"
+  bad "suu 1\nn 1 m 1\nedges -1\nprobs\n0.5";
+  bad ~msg:"Io.read: wrong probability count"
+    "suu 1\nn 1000000000 m 1000000000\nedges 0\nprobs";
+  (* 2^61 * 4 wraps to 0, which matches an empty probability list. *)
+  bad ~msg:"Io.read: wrong probability count"
+    "suu 1\nn 2305843009213693952 m 4\nedges 0\nprobs";
+  bad ~msg:"Io.read: truncated edge list"
+    "suu 1\nn 2 m 1\nedges 4611686018427387903\n0 1\n";
+  (* The edge list swallows "probs"; the pair after it is read second
+     token first, as the token-list parser always did. *)
+  bad ~msg:"Io.read: bad int 0.5"
+    "suu 1\nn 2 m 1\nedges 4611686018427387903\n0 1\nprobs\n0.5 0.5"
+
+(* --- the token-list parser the scanner replaced, kept as an oracle --- *)
+
+module Oracle = struct
+  let strip_comment line =
+    match String.index_opt line '#' with
+    | Some k -> String.sub line 0 k
+    | None -> line
+
+  let tokens_of_lines lines =
+    List.concat_map
+      (fun line ->
+        strip_comment line |> String.split_on_char ' '
+        |> List.concat_map (String.split_on_char '\t')
+        |> List.filter (fun s -> s <> ""))
+      lines
+
+  let tokens s = tokens_of_lines (String.split_on_char '\n' s)
+
+  let instance_of_string s =
+    let fail msg = failwith ("Io.read: " ^ msg) in
+    let int_of s =
+      match int_of_string_opt s with
+      | Some v -> v
+      | None -> fail ("bad int " ^ s)
+    in
+    let float_of s =
+      match float_of_string_opt s with
+      | Some v -> v
+      | None -> fail ("bad float " ^ s)
+    in
+    match tokens s with
+    | "suu" :: "1" :: "n" :: n :: "m" :: m :: "edges" :: ecount :: rest ->
+        let n = int_of n and m = int_of m and ecount = int_of ecount in
+        if n < 0 then fail "bad job count";
+        if m < 1 then fail "bad machine count";
+        if ecount < 0 then fail "bad edge count";
+        let rec take_edges k acc rest =
+          if k = 0 then (List.rev acc, rest)
+          else
+            match rest with
+            | u :: v :: rest ->
+                take_edges (k - 1) ((int_of u, int_of v) :: acc) rest
+            | _ -> fail "truncated edge list"
+        in
+        let edges, rest = take_edges ecount [] rest in
+        let rest =
+          match rest with
+          | "probs" :: rest -> rest
+          | _ -> fail "expected 'probs'"
+        in
+        let floats = Array.of_list (List.map float_of rest) in
+        if Array.length floats <> n * m then fail "wrong probability count";
+        let p =
+          Array.init m (fun i -> Array.init n (fun j -> floats.((i * n) + j)))
+        in
+        (try Instance.create ~p ~dag:(Suu_dag.Dag.create ~n edges) with
+        | Instance.Invalid e -> fail (Instance.error_to_string e)
+        | Invalid_argument msg -> fail msg)
+    | _ -> fail "bad header"
+
+  let schedule_of_string s =
+    let fail msg = failwith ("Io.schedule: " ^ msg) in
+    let int_of tok =
+      match int_of_string_opt tok with
+      | Some v -> v
+      | None -> fail ("bad int " ^ tok)
+    in
+    match tokens s with
+    | "suu-plan" :: "1" :: "m" :: m :: "prefix" :: plen :: rest ->
+        let m = int_of m and plen = int_of plen in
+        if m < 1 then fail "bad machine count";
+        if plen < 0 then fail "bad prefix length";
+        let take_steps count rest =
+          if count < 0 then fail "bad step count";
+          let steps = Array.init count (fun _ -> Array.make m (-1)) in
+          let rest = ref rest in
+          for k = 0 to count - 1 do
+            for i = 0 to m - 1 do
+              match !rest with
+              | tok :: more ->
+                  steps.(k).(i) <- int_of tok;
+                  rest := more
+              | [] -> fail "truncated step list"
+            done
+          done;
+          (steps, !rest)
+        in
+        let prefix, rest = take_steps plen rest in
+        let cycle, rest =
+          match rest with
+          | "cycle" :: clen :: rest -> take_steps (int_of clen) rest
+          | _ -> fail "expected 'cycle'"
+        in
+        if rest <> [] then fail "trailing tokens";
+        (try Suu_core.Oblivious.create ~m ~cycle prefix
+         with Invalid_argument msg -> fail msg)
+    | _ -> fail "bad header"
+end
+
+(* Byte-level damage: overwrite, insert or delete a byte, or cut the
+   text short. The alphabet leans on bytes the grammar cares about. *)
+let mutate rng s =
+  let alphabet = "0123456789-+.eEx# \t\n\rpn_" in
+  let pick () =
+    if Rng.int rng 8 = 0 then Char.chr (Rng.int rng 256)
+    else alphabet.[Rng.int rng (String.length alphabet)]
+  in
+  let len = String.length s in
+  if len = 0 then String.make 1 (pick ())
+  else
+    let k = Rng.int rng len in
+    match Rng.int rng 4 with
+    | 0 -> String.mapi (fun i c -> if i = k then pick () else c) s
+    | 1 ->
+        String.sub s 0 k ^ String.make 1 (pick ()) ^ String.sub s k (len - k)
+    | 2 -> String.sub s 0 k ^ String.sub s (k + 1) (len - k - 1)
+    | _ -> String.sub s 0 k
+
+(* The clean text and 24 damaged variants: each damages the previous
+   one further, or starts again from the clean text one time in three. *)
+let damaged_variants rng clean =
+  let out = ref [ clean ] in
+  let cur = ref clean in
+  for _ = 1 to 24 do
+    cur := mutate rng (if Rng.int rng 3 = 0 then clean else !cur);
+    out := !cur :: !out
+  done;
+  !out
+
+(* Same answer from two parsers: equal values, or [Failure] with the
+   very same message. *)
+let agree ~what ~same parse oracle input =
+  let run f =
+    match f input with v -> Ok v | exception Failure msg -> Error msg
+  in
+  match (run parse, run oracle) with
+  | Ok a, Ok b ->
+      if not (same a b) then Alcotest.failf "%s: values differ on %S" what input
+  | Error a, Error b ->
+      if a <> b then
+        Alcotest.failf "%s: messages differ on %S: %S vs %S" what input a b
+  | Ok _, Error msg ->
+      Alcotest.failf "%s: scanner accepted %S, oracle said %S" what input msg
+  | Error msg, Ok _ ->
+      Alcotest.failf "%s: scanner said %S on %S, oracle accepted" what msg
+        input
+
+let test_io_differential () =
+  let rng = Rng.create 2007 in
+  let module Gen = Suu_check.Gen in
+  for k = 0 to 199 do
+    let sizes = if k mod 2 = 0 then Gen.small else Gen.default in
+    let case = Gen.case (Rng.split rng) sizes in
+    let inst = Suu_check.Case.instance case in
+    List.iter
+      (agree ~what:"instance"
+         ~same:(fun a b -> Io.digest a = Io.digest b && instances_equal a b)
+         Io.of_string Oracle.instance_of_string)
+      (damaged_variants rng (Io.to_string inst));
+    List.iter
+      (agree ~what:"plan" ~same:schedules_equal Io.schedule_of_string
+         Oracle.schedule_of_string)
+      (damaged_variants rng
+         (Io.schedule_to_string (Gen.oblivious (Rng.split rng) case)))
+  done
+
+(* Fixed instance: 3 jobs, 2 machines, a 0 -> 1 -> 2 chain. Its pin is
+   the MD5 of the 8-byte little-endian words 3, 2, 2, 0, 1, 1, 2 and
+   then the bits of 0.5, 0.25, 1, 0.125, 0, 0.75. *)
+let pinned_instance () =
+  Instance.create
+    ~p:[| [| 0.5; 0.25; 1. |]; [| 0.125; 0.; 0.75 |] |]
+    ~dag:(Suu_dag.Dag.create ~n:3 [ (1, 2); (0, 1) ])
+
+let test_digest_golden () =
+  Alcotest.(check string) "golden" "2d7503fe666015a9b967e6f6c807bb9f" (Io.digest (pinned_instance ()))
+
+let test_digest_spellings () =
+  let text p = Printf.sprintf "suu 1\nn 2 m 1\nedges 0\nprobs\n%s 1\n" p in
+  let d p = Io.digest (Io.of_string (text p)) in
+  Alcotest.(check string) "5e-1" (d "0.5") (d "5e-1");
+  Alcotest.(check string) "0.50" (d "0.5") (d "0.50")
+
+let test_digest_separates () =
+  let inst = pinned_instance () in
+  let ulp =
+    Instance.create
+      ~p:[| [| Float.succ 0.5; 0.25; 1. |]; [| 0.125; 0.; 0.75 |] |]
+      ~dag:(Instance.dag inst)
+  in
+  Alcotest.(check bool) "one ulp" false (Io.digest inst = Io.digest ulp);
+  (* Same six probabilities in the same order, framed as 2x3 and 3x2. *)
+  let flat = [| 0.5; 0.25; 1.; 0.125; 0.375; 0.75 |] in
+  let shaped ~n ~m =
+    Instance.independent
+      ~p:(Array.init m (fun i -> Array.sub flat (i * n) n))
+  in
+  Alcotest.(check bool) "n and m swapped" false
+    (Io.digest (shaped ~n:3 ~m:2) = Io.digest (shaped ~n:2 ~m:3))
 
 let test_experiment_measure () =
   let inst = sample_instance 5 in
@@ -135,11 +360,6 @@ let test_experiment_rows () =
         (List.length Experiment.row_header)
         (List.length (Experiment.row m)))
     ms
-
-let schedules_equal a b =
-  a.Suu_core.Oblivious.m = b.Suu_core.Oblivious.m
-  && a.Suu_core.Oblivious.prefix = b.Suu_core.Oblivious.prefix
-  && a.Suu_core.Oblivious.cycle = b.Suu_core.Oblivious.cycle
 
 let test_schedule_roundtrip () =
   let sched =
@@ -180,7 +400,10 @@ let test_schedule_rejects_hostile_sizes () =
   in
   bad "suu-plan 1\nm 1\nprefix -1\ncycle 0";
   bad "suu-plan 1\nm 1\nprefix 0\ncycle -1";
-  bad "suu-plan 1\nm 0\nprefix 0\ncycle 0"
+  bad "suu-plan 1\nm 0\nprefix 0\ncycle 0";
+  (* 10^18 steps are announced, one is present: nothing that size may be
+     allocated on the way to the error. *)
+  bad "suu-plan 1\nm 1000000000\nprefix 1000000000\n0\ncycle 0"
 
 let test_gantt_of_trace () =
   let trace =
@@ -268,6 +491,12 @@ let () =
           Alcotest.test_case "truncated rejected" `Quick test_io_rejects_truncated;
           Alcotest.test_case "hostile sizes rejected" `Quick
             test_io_rejects_hostile_sizes;
+          Alcotest.test_case "scanner = token-list oracle" `Quick
+            test_io_differential;
+          Alcotest.test_case "digest golden" `Quick test_digest_golden;
+          Alcotest.test_case "digest ignores spelling" `Quick
+            test_digest_spellings;
+          Alcotest.test_case "digest separates" `Quick test_digest_separates;
         ] );
       ( "plans",
         [

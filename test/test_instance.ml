@@ -105,6 +105,40 @@ let test_transpose () =
   Alcotest.(check (array (float 0.))) "machine 0 row" [| 0.1; 0.3; 0.5 |] p.(0);
   Alcotest.(check (array (float 0.))) "machine 1 row" [| 0.2; 0.4; 0.6 |] p.(1)
 
+(* Four domains race on the first [sorted_pairs] of one fresh instance:
+   whichever sort is published, every domain sees arrays equal to those
+   of an instance that sorted on one domain. Coarse probabilities make
+   ties, so the (machine, job) tie-break is exercised too. *)
+let test_sorted_pairs_race () =
+  let n = 64 and m = 16 in
+  for seed = 0 to 19 do
+    let p =
+      Array.init m (fun i ->
+          Array.init n (fun j ->
+              float_of_int ((((i * 7) + (j * 13) + seed) mod 8) + 1) /. 8.))
+    in
+    let reference = Instance.sorted_pairs (Instance.independent ~p) in
+    let fresh = Instance.independent ~p in
+    let ready = Atomic.make 0 in
+    let racers =
+      List.init 4 (fun _ ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < 4 do
+                Domain.cpu_relax ()
+              done;
+              Instance.sorted_pairs fresh))
+    in
+    List.iter
+      (fun d ->
+        let ps, ms, js = Domain.join d in
+        let rps, rms, rjs = reference in
+        Alcotest.(check (array (float 0.))) "probs" rps ps;
+        Alcotest.(check (array int)) "machines" rms ms;
+        Alcotest.(check (array int)) "jobs" rjs js)
+      racers
+  done
+
 let () =
   Alcotest.run "instance"
     [
@@ -126,5 +160,7 @@ let () =
           Alcotest.test_case "create_checked ok" `Quick test_create_checked_ok;
           Alcotest.test_case "defensive copy" `Quick test_defensive_copy;
           Alcotest.test_case "transpose" `Quick test_transpose;
+          Alcotest.test_case "sorted_pairs first-use race" `Quick
+            test_sorted_pairs_race;
         ] );
     ]
