@@ -24,11 +24,12 @@ let check_chains inst chains =
          seen.(j) <- true))
     chains
 
-(* Build and solve the relaxation. [with_windows] selects (LP1) (window
-   variables and chain constraints) versus (LP2). *)
-let solve inst ~chains ~with_windows =
+(* Build the relaxation: [with_windows] selects (LP1) (window variables
+   and chain constraints) versus (LP2). Returns the problem with its job
+   subset and the x_ij and d_j variable indices. *)
+let build inst ~chains ~with_windows =
   check_chains inst chains;
-  let m = Instance.m inst and n = Instance.n inst in
+  let m = Instance.m inst in
   let jobs = List.concat chains |> List.sort compare in
   let b = Lp.builder () in
   let t_var = Lp.add_var b ~obj:1. "t" in
@@ -85,10 +86,27 @@ let solve inst ~chains ~with_windows =
       x_vars;
     List.iter (fun j -> Lp.add_ge b [ (Hashtbl.find d_vars j, 1.) ] 1.) jobs
   end;
-  let problem = Lp.build b `Minimize in
+  (Lp.build b `Minimize, jobs, x_vars, d_vars)
+
+let relaxation inst ~chains ~windows =
+  let problem, _, _, _ = build inst ~chains ~with_windows:windows in
+  problem
+
+let solve inst ~chains ~with_windows =
+  let m = Instance.m inst and n = Instance.n inst in
+  let problem, jobs, x_vars, d_vars = build inst ~chains ~with_windows in
+  let name = if with_windows then "(LP1)" else "(LP2)" in
+  (* (LP1)/(LP2) are feasible and bounded for every valid instance, so
+     any other outcome is numerical: e.g. every p_ij below the pivot
+     tolerance leaves no usable pivot in a mass row. *)
   match Simplex.solve problem with
-  | Simplex.Infeasible -> raise (Lp_failure "relaxation infeasible")
-  | Simplex.Unbounded -> raise (Lp_failure "relaxation unbounded")
+  | Simplex.Infeasible ->
+      raise
+        (Lp_failure
+           (name ^ " is numerically infeasible at the simplex pivot tolerance"))
+  | Simplex.Unbounded -> raise (Lp_failure (name ^ " is numerically unbounded"))
+  | exception Simplex.Iteration_limit ->
+      raise (Lp_failure (name ^ " hit the simplex iteration limit"))
   | Simplex.Optimal { objective; solution } ->
       let x = Array.make_matrix m n 0. in
       Hashtbl.iter

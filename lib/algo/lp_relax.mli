@@ -20,8 +20,11 @@ type fractional = {
 }
 
 exception Lp_failure of string
-(** Raised if the LP solver reports infeasible/unbounded — impossible for
-    well-formed instances, so this indicates a numerical problem. *)
+(** Raised if the LP solver reports infeasible or unbounded, or runs out
+    of iterations. The relaxations are feasible and bounded for every
+    valid instance, so this is numerical: a job whose every p_ij is below
+    the simplex pivot tolerance (say [1e-12]) makes them read as
+    infeasible. *)
 
 val mass_target : float
 (** The 1/2 of constraint (1). *)
@@ -33,6 +36,12 @@ val solve_chains :
 
 val solve_independent : Suu_core.Instance.t -> jobs:int list -> fractional
 (** Solve (LP2) over the given jobs ([chains] is left empty). *)
+
+val relaxation :
+  Suu_core.Instance.t -> chains:int list list -> windows:bool -> Suu_lp.Lp.problem
+(** The problem {!solve_chains} ([windows = true], (LP1)) or
+    {!solve_independent} ([windows = false], (LP2), singleton [chains])
+    hands to the simplex, row for row. *)
 
 val verify : Suu_core.Instance.t -> fractional -> (unit, string) result
 (** Re-check all (LP1)/(LP2) constraints on a fractional solution —

@@ -1,13 +1,20 @@
-(** Two-phase primal simplex for dense linear programs.
+(** Two-phase primal simplex on a full tableau.
 
     The paper's chain algorithm needs an exact optimum of the relaxation
-    (LP1) (and (LP2) for independent jobs); no LP tooling is available in
-    this environment, so this is a from-scratch solver. All variables are
-    non-negative; rows may be ≤, ≥ or =. Phase 1 minimises the sum of
-    artificial variables to find a basic feasible solution; phase 2
-    optimises the true objective. Entering variables are chosen by
-    Dantzig's rule and the solver switches to Bland's rule after a stall is
-    detected, which guarantees termination. *)
+    (LP1) (and (LP2) for independent jobs); this is a from-scratch solver.
+    All variables are non-negative; rows may be ≤, ≥ or =. Phase 1
+    minimises the sum of artificial variables to find a basic feasible
+    solution; phase 2 optimises the true objective. Entering variables are
+    chosen by Dantzig's rule and the solver switches to Bland's rule after
+    a stall is detected, which guarantees termination.
+
+    Tableau rows are dense arrays, but a pivot gathers the entering column
+    once and eliminates only over the nonzeros of the normalised pivot row
+    (sweeping the whole row once it is more than half full). Skipping a
+    zero changes at most the sign of a zero entry, which no decision of the
+    solver reads, so pivots, outcomes and every returned bit are those of
+    the plain dense elimination; the test suite checks this against that
+    solver. *)
 
 type outcome =
   | Optimal of { objective : float; solution : float array }
