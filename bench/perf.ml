@@ -15,6 +15,18 @@ let chain_instance n m chains =
   let dag = Suu_dag.Gen.chains (Rng.create 17) ~n ~chains in
   uniform_instance (master_seed + 124) ~n ~m ~lo:0.1 ~hi:0.9 dag
 
+(* The four workload families that reach the paper's LP-backed oblivious
+   column, generated as [suu gen -w W -n 64 -m 16 --seed 1] does. *)
+let lp_workloads () =
+  let module W = Suu_workloads.Workload in
+  let gen f = (f (Rng.create 1) ~n:64 ~m:16).W.instance in
+  [
+    gen W.grid_batch;
+    gen (W.grid_workflow ~stages:4);
+    gen W.grid_divide;
+    gen W.project;
+  ]
+
 let range_adaptive_row = "200 MC trials range adaptive (n=64 m=16)"
 let seeded_row = "200 MC trials seeded adaptive, observer off (n=64 m=16)"
 let seeded_oblivious_row = "200 MC trials seeded oblivious (n=64 m=16)"
@@ -69,7 +81,20 @@ let tests () =
     | Error (msg, _) -> failwith msg
   in
   let wire_req = decode () in
-  [
+  (* Policy build of the guaranteed oblivious column: (LP1)/(LP2), rounding
+     and delays, one row per algorithm the four families dispatch to. *)
+  let oblivious_builds =
+    List.map
+      (fun inst ->
+        Test.make
+          ~name:
+            (Printf.sprintf "oblivious build n=64 m=16 (%s)"
+               (Suu_algo.Solver.algorithm_name inst))
+          (Staged.stage (fun () -> Suu_algo.Solver.solve inst)))
+      (lp_workloads ())
+  in
+  oblivious_builds
+  @ [
     Test.make ~name:"Request.of_line (wire line n=64 m=16)"
       (Staged.stage decode);
     Test.make ~name:"Request.cache_key (n=64 m=16)"

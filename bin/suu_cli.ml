@@ -128,6 +128,15 @@ let decompose_cmd =
        ~doc:"Print the chain decomposition (Lemma 4.6) of an instance's DAG")
     Term.(const run $ instance_arg)
 
+(* The paper's oblivious column solves (LP1)/(LP2), which can fail
+   numerically on a valid instance; report that and exit 1, as the
+   unsupported cases do. *)
+let exit_on_lp_failure cmd f =
+  try f ()
+  with Suu_algo.Lp_relax.Lp_failure msg ->
+    Printf.eprintf "suu %s: lp: %s\n" cmd msg;
+    exit 1
+
 let algo_names =
   [ "auto"; "adaptive"; "oblivious"; "improved"; "fixed"; "baselines" ]
 
@@ -143,16 +152,20 @@ let solve_cmd =
     let inst = Suu_harness.Io.load file in
     let bounds = Suu_algo.Bounds.compute inst in
     let lb = Suu_algo.Bounds.best bounds in
+    let oblivious () =
+      exit_on_lp_failure "solve" (fun () ->
+          Suu_algo.Solver.solve ~kind:`Oblivious inst)
+    in
     let policies =
       match algo with
       | "adaptive" -> [ Suu_algo.Solver.solve ~kind:`Adaptive inst ]
-      | "oblivious" -> [ Suu_algo.Solver.solve ~kind:`Oblivious inst ]
+      | "oblivious" -> [ oblivious () ]
       | "improved" -> [ Suu_algo.Solver.solve ~kind:`Improved inst ]
       | "fixed" -> [ Suu_algo.Solver.solve ~kind:`Fixed inst ]
       | "baselines" -> Suu_algo.Baselines.all ~seed inst
       | _ -> (
           [ Suu_algo.Solver.solve ~kind:`Adaptive inst ]
-          @ (match Suu_algo.Solver.solve ~kind:`Oblivious inst with
+          @ (match oblivious () with
             | p -> [ p ]
             | exception Suu_algo.Solver.Unsupported _ -> [])
           @ [
@@ -198,13 +211,14 @@ let plan_cmd =
   let run file out =
     let inst = Suu_harness.Io.load file in
     let sched =
-      match Suu_dag.Classify.classify (Suu_core.Instance.dag inst) with
-      | Suu_dag.Classify.Independent -> Suu_algo.Lp_indep.schedule inst
-      | Suu_dag.Classify.Chains -> Suu_algo.Chains.schedule inst
-      | Suu_dag.Classify.Out_trees | Suu_dag.Classify.In_trees ->
-          Suu_algo.Trees.schedule inst
-      | Suu_dag.Classify.Forest -> Suu_algo.Forest.schedule inst
-      | Suu_dag.Classify.General -> Suu_algo.Layered.schedule inst
+      exit_on_lp_failure "plan" (fun () ->
+          match Suu_dag.Classify.classify (Suu_core.Instance.dag inst) with
+          | Suu_dag.Classify.Independent -> Suu_algo.Lp_indep.schedule inst
+          | Suu_dag.Classify.Chains -> Suu_algo.Chains.schedule inst
+          | Suu_dag.Classify.Out_trees | Suu_dag.Classify.In_trees ->
+              Suu_algo.Trees.schedule inst
+          | Suu_dag.Classify.Forest -> Suu_algo.Forest.schedule inst
+          | Suu_dag.Classify.General -> Suu_algo.Layered.schedule inst)
     in
     Suu_harness.Io.save_schedule out sched;
     Printf.printf "wrote %s: %d prefix steps, %d cycle steps (%s)\n" out
@@ -803,7 +817,9 @@ let trace_cmd =
       match policy with `Oblivious -> `Oblivious | `Auto | `Adaptive -> `Adaptive
     in
     let pol =
-      match Suu_algo.Solver.solve ~kind inst with
+      match
+        exit_on_lp_failure "trace" (fun () -> Suu_algo.Solver.solve ~kind inst)
+      with
       | p -> p
       | exception Suu_algo.Solver.Unsupported msg ->
           Printf.eprintf "suu trace: unsupported: %s\n" msg;

@@ -332,8 +332,9 @@ let execute op ~domains ~stop ~on_word =
          key can never alias two different computations. *)
       let kind = Request.canonical_algo algo in
       let policy =
-        try Suu_algo.Solver.solve ~kind instance
-        with Suu_algo.Solver.Unsupported msg -> failed "unsupported: %s" msg
+        try Suu_algo.Solver.solve ~kind instance with
+        | Suu_algo.Solver.Unsupported msg -> failed "unsupported: %s" msg
+        | Suu_algo.Lp_relax.Lp_failure msg -> failed "lp: %s" msg
       in
       estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target
         ~releases ~churn ~stop ~on_word instance

@@ -845,6 +845,26 @@ let test_service_plan_mismatch_rejected () =
   Alcotest.(check (option string)) "machine mismatch -> error" (Some "error")
     (status (List.nth out 0))
 
+(* A p_ij below the simplex pivot tolerance is still a valid
+   probability: the oblivious column's LP fails numerically, and the
+   answer is a structured [lp:] error that keeps the id, for (LP2) on
+   independent jobs and (LP1) on a chain. *)
+let test_service_lp_failure () =
+  let lines =
+    [
+      {|{"op":"solve","id":"a","algo":"oblivious","trials":5,"seed":1,"instance":"suu 1\nn 1 m 1\nedges 0\nprobs\n1e-12"}|};
+      {|{"op":"solve","id":"b","algo":"oblivious","trials":5,"seed":1,"instance":"suu 1\nn 2 m 1\nedges 1\n0 1\nprobs\n1e-12 1e-12"}|};
+    ]
+  in
+  let out, _ = Service.run_lines (config ~workers:1) lines in
+  Alcotest.(check (list string))
+    "structured lp errors"
+    [
+      {|{"id":"a","status":"error","error":"lp: (LP2) is numerically infeasible at the simplex pivot tolerance"}|};
+      {|{"id":"b","status":"error","error":"lp: (LP1) is numerically infeasible at the simplex pivot tolerance"}|};
+    ]
+    out
+
 let test_service_queue_full_rejects () =
   (* Capacity-1 queue, one worker held busy by the first request: with the
      reader racing far ahead, at least one of the many pending requests
@@ -1440,6 +1460,8 @@ let () =
             test_service_zero_capacity_cache;
           Alcotest.test_case "plan mismatch" `Quick
             test_service_plan_mismatch_rejected;
+          Alcotest.test_case "lp failure is structured" `Quick
+            test_service_lp_failure;
           Alcotest.test_case "queue full rejects" `Quick
             test_service_queue_full_rejects;
           Alcotest.test_case "survives hostile instance" `Quick
