@@ -54,17 +54,22 @@ let pivot t ~row ~col =
   arow.(col) <- 1.;
   t.b.(row) <- t.b.(row) *. inv;
   (* Past half full, the contiguous sweep over the whole row beats the
-     indexed one; (LP2) pivot rows are about 60% nonzero. *)
+     indexed one; (LP2) pivot rows are about 60% nonzero. Every row,
+     [reduced], [nz_col] and [nz_val] has length [ncols], and [nz_col]
+     holds column indices, so the unchecked accesses stay in bounds. *)
   let sweep_all = 2 * nnz > t.ncols in
   let eliminate target factor =
     if sweep_all then
       for j = 0 to t.ncols - 1 do
-        target.(j) <- target.(j) -. (factor *. arow.(j))
+        Array.unsafe_set target j
+          (Array.unsafe_get target j -. (factor *. Array.unsafe_get arow j))
       done
     else
       for k = 0 to nnz - 1 do
-        let j = t.nz_col.(k) in
-        target.(j) <- target.(j) -. (factor *. t.nz_val.(k))
+        let j = Array.unsafe_get t.nz_col k in
+        Array.unsafe_set target j
+          (Array.unsafe_get target j
+          -. (factor *. Array.unsafe_get t.nz_val k))
       done;
     target.(col) <- 0.
   in
