@@ -32,7 +32,8 @@ let gather_column t col =
 (* Pivot on [(row, col)]; [t.column] must hold column [col] (see
    [gather_column]). Skipping a zero entry of the pivot row leaves
    [x -. factor *. 0.] at [x] up to the sign of a zero, which no test in
-   the solver can see, so the result is the dense elimination's. *)
+   the solver can see, so while the tableau stays finite the result is
+   the dense elimination's. *)
 let pivot t ~row ~col =
   let arow = t.a.(row) in
   (* Normalise the pivot row and collect its nonzeros off the pivot. *)

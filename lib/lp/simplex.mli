@@ -10,11 +10,11 @@
 
     Tableau rows are dense arrays, but a pivot gathers the entering column
     once and eliminates only over the nonzeros of the normalised pivot row
-    (sweeping the whole row once it is more than half full). Skipping a
-    zero changes at most the sign of a zero entry, which no decision of the
-    solver reads, so pivots, outcomes and every returned bit are those of
-    the plain dense elimination; the test suite checks this against that
-    solver. *)
+    (sweeping the whole row once it is more than half full). While the
+    tableau stays finite, skipping a zero changes at most the sign of a
+    zero entry, which no decision of the solver reads, so pivots, outcomes
+    and every returned bit are those of the plain dense elimination; the
+    test suite checks this against that solver. *)
 
 type outcome =
   | Optimal of { objective : float; solution : float array }
