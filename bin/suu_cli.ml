@@ -128,14 +128,18 @@ let decompose_cmd =
        ~doc:"Print the chain decomposition (Lemma 4.6) of an instance's DAG")
     Term.(const run $ instance_arg)
 
-(* The paper's oblivious column solves (LP1)/(LP2), which can fail
-   numerically on a valid instance; report that and exit 1, as the
-   unsupported cases do. *)
-let exit_on_lp_failure cmd f =
-  try f ()
-  with Suu_algo.Lp_relax.Lp_failure msg ->
-    Printf.eprintf "suu %s: lp: %s\n" cmd msg;
-    exit 1
+(* A build can fail on a valid instance: the paper's oblivious column
+   solves (LP1)/(LP2), which can fail numerically, and a tiny p_min can
+   push the guess-doubling schedules past their length budget. Report
+   either and exit 1, as the unsupported cases do. *)
+let exit_on_build_failure cmd f =
+  try f () with
+  | Suu_algo.Lp_relax.Lp_failure msg ->
+      Printf.eprintf "suu %s: lp: %s\n" cmd msg;
+      exit 1
+  | Suu_algo.Accum.Too_long msg ->
+      Printf.eprintf "suu %s: too expensive: %s\n" cmd msg;
+      exit 1
 
 let algo_names =
   [ "auto"; "adaptive"; "oblivious"; "improved"; "fixed"; "baselines" ]
@@ -152,26 +156,28 @@ let solve_cmd =
     let inst = Suu_harness.Io.load file in
     let bounds = Suu_algo.Bounds.compute inst in
     let lb = Suu_algo.Bounds.best bounds in
-    let oblivious () =
-      exit_on_lp_failure "solve" (fun () ->
-          Suu_algo.Solver.solve ~kind:`Oblivious inst)
+    let build kind =
+      exit_on_build_failure "solve" (fun () -> Suu_algo.Solver.solve ~kind inst)
     in
     let policies =
       match algo with
-      | "adaptive" -> [ Suu_algo.Solver.solve ~kind:`Adaptive inst ]
-      | "oblivious" -> [ oblivious () ]
-      | "improved" -> [ Suu_algo.Solver.solve ~kind:`Improved inst ]
-      | "fixed" -> [ Suu_algo.Solver.solve ~kind:`Fixed inst ]
+      | "adaptive" -> [ build `Adaptive ]
+      | "oblivious" -> [ build `Oblivious ]
+      | "improved" -> [ build `Improved ]
+      | "fixed" -> [ build `Fixed ]
       | "baselines" -> Suu_algo.Baselines.all ~seed inst
-      | _ -> (
-          [ Suu_algo.Solver.solve ~kind:`Adaptive inst ]
-          @ (match oblivious () with
+      | _ ->
+          (* Built in column order, so the first failing build is the
+             one reported. *)
+          let adaptive = build `Adaptive in
+          let oblivious =
+            match build `Oblivious with
             | p -> [ p ]
-            | exception Suu_algo.Solver.Unsupported _ -> [])
-          @ [
-              Suu_algo.Solver.solve ~kind:`Improved inst;
-              Suu_algo.Solver.solve ~kind:`Fixed inst;
-            ])
+            | exception Suu_algo.Solver.Unsupported _ -> []
+          in
+          let improved = build `Improved in
+          let fixed = build `Fixed in
+          (adaptive :: oblivious) @ [ improved; fixed ]
     in
     let ms =
       Suu_harness.Experiment.compare_policies ~trials ~seed inst
@@ -211,7 +217,7 @@ let plan_cmd =
   let run file out =
     let inst = Suu_harness.Io.load file in
     let sched =
-      exit_on_lp_failure "plan" (fun () ->
+      exit_on_build_failure "plan" (fun () ->
           match Suu_dag.Classify.classify (Suu_core.Instance.dag inst) with
           | Suu_dag.Classify.Independent -> Suu_algo.Lp_indep.schedule inst
           | Suu_dag.Classify.Chains -> Suu_algo.Chains.schedule inst
@@ -347,7 +353,10 @@ let serve_cmd =
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"Q" ~doc)
   in
   let cache_arg =
-    let doc = "Result cache capacity (LRU entries; 0 disables caching)." in
+    let doc =
+      "Result cache capacity (LRU entries; 0 disables result caching). \
+       The 32-entry cache of built oblivious policies is not affected."
+    in
     Arg.(value & opt int 128 & info [ "cache" ] ~docv:"C" ~doc)
   in
   let deadline_arg =
@@ -818,7 +827,7 @@ let trace_cmd =
     in
     let pol =
       match
-        exit_on_lp_failure "trace" (fun () -> Suu_algo.Solver.solve ~kind inst)
+        exit_on_build_failure "trace" (fun () -> Suu_algo.Solver.solve ~kind inst)
       with
       | p -> p
       | exception Suu_algo.Solver.Unsupported msg ->

@@ -53,16 +53,32 @@ let accumulate inst ~jobs ~t ~mass_target ~max_rounds ~early_exit =
 
 let all_jobs inst = Array.make (Instance.n inst) true
 
+exception Too_long of string
+
+(* One round of a length-t guess packs into a piece of up to t steps,
+   each an m-wide assignment array: about t * (m + 2) words. *)
+let max_piece_words = 1 lsl 22
+
 (* Guess-doubling driver (§3.2): [attempt] is tried at t, 2t, 4t, …
    until it reports success; a guess of O(n / p_min) always succeeds, so
-   the cap below is a defensive backstop against broken callers. *)
+   the cap below is a defensive backstop against broken callers. A tiny
+   p_min can put that guess beyond any memory, so a guess whose piece
+   would exceed [max_piece_words] stops the search before it allocates. *)
 let doubling_guess inst ~t0 ~attempt =
-  let n = Instance.n inst in
+  let n = Instance.n inst and m = Instance.m inst in
+  let pmin = Instance.p_min inst in
   let hard_cap =
-    let pmin = Instance.p_min inst in
     Float.to_int (Float.min 1e9 (16. *. Float.of_int n /. pmin)) + 2
   in
+  let max_t = max_piece_words / (m + 2) in
   let rec search t guesses =
+    if t > max_t then
+      raise
+        (Too_long
+           (Printf.sprintf
+              "a %d-step guess at m=%d exceeds the %d-word schedule \
+               budget (p_min %g)"
+              t m max_piece_words pmin));
     match attempt t with
     | Some result -> (result, t, guesses + 1)
     | None ->

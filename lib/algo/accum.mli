@@ -36,6 +36,11 @@ val accumulate :
 val all_jobs : Suu_core.Instance.t -> bool array
 (** The everything-flagged mask, [Array.make n true]. *)
 
+exception Too_long of string
+(** Raised by {!doubling_guess} when the next guess would build a round
+    piece larger than the schedule budget (about [2^22] words); the
+    message names the guess, the machine count and [p_min]. *)
+
 val doubling_guess :
   Suu_core.Instance.t ->
   t0:int ->
@@ -45,4 +50,7 @@ val doubling_guess :
     [4·t0], … until it returns [Some result], and gives
     [(result, final_t, guesses)]. §3.2: a guess of O(n / p_min) always
     succeeds, so the search terminates; a defensive cap of that order
-    turns a broken [attempt] into [Invalid_argument] instead of a hang. *)
+    turns a broken [attempt] into [Invalid_argument] instead of a hang.
+    A tiny [p_min] can make that guess too long to hold in memory: a
+    guess [t] with [t * (m + 2)] above the budget raises {!Too_long}
+    before [attempt t] runs. *)

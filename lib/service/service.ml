@@ -51,6 +51,9 @@ type report = {
   cache_hits : int;
   cache_misses : int;
   cache_size : int;
+  policy_cache_hits : int;
+  policy_cache_misses : int;
+  policy_cache_size : int;
   queue_hwm : int;
 }
 
@@ -65,6 +68,12 @@ let report_to_string r =
   Buffer.add_string buf
     (Printf.sprintf "cache: %d hits, %d misses, %d entries\n" r.cache_hits
        r.cache_misses r.cache_size);
+  (* Only a run that served an oblivious solve looks up a built
+     policy, so other shutdown dumps keep their three lines. *)
+  if r.policy_cache_hits + r.policy_cache_misses > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf "policy cache: %d hits, %d misses, %d entries\n"
+         r.policy_cache_hits r.policy_cache_misses r.policy_cache_size);
   Buffer.add_string buf
     (Printf.sprintf "queue depth high-water mark: %d\n" r.queue_hwm);
   (* The fault line only appears once something went wrong (or chaos was
@@ -121,6 +130,12 @@ let report_to_prom ?workers r =
     c "suu_cache_hits_total" "Result-cache hits." r.cache_hits;
     c "suu_cache_misses_total" "Result-cache misses." r.cache_misses;
     g "suu_cache_entries" "Result-cache entries currently held." r.cache_size;
+    c "suu_policy_cache_hits_total" "Built-policy cache hits."
+      r.policy_cache_hits;
+    c "suu_policy_cache_misses_total" "Built-policy cache misses."
+      r.policy_cache_misses;
+    g "suu_policy_cache_entries" "Built policies currently held."
+      r.policy_cache_size;
     g "suu_queue_high_water_mark" "Deepest the request queue has been."
       r.queue_hwm;
   ]
@@ -322,7 +337,37 @@ let info_fields instance =
         ] );
   ]
 
-let execute op ~domains ~stop ~on_word =
+(* Built oblivious policies, shared by every worker domain. A policy is
+   an immutable value whose [fresh] creates all per-run state, so one
+   build serves any number of concurrent estimates; concurrent misses on
+   one key may each build, and the last to finish stays. 32 entries of
+   at most ~10 KB each at n=64, m=16. *)
+let policy_cache_capacity = 32
+
+let build_policy ~policies ~kind instance =
+  let build () =
+    try Suu_algo.Solver.solve ~kind instance with
+    | Suu_algo.Solver.Unsupported msg -> failed "unsupported: %s" msg
+    | Suu_algo.Lp_relax.Lp_failure msg -> failed "lp: %s" msg
+    | Suu_algo.Accum.Too_long msg -> failed "too expensive: %s" msg
+  in
+  match kind with
+  | `Oblivious -> (
+      (* The one LP-backed kind: solving (LP1)/(LP2) makes its build
+         10-40x a 200-trial estimate at n=64, m=16. The other kinds
+         build in about the time a digest and its key's garbage would
+         cost them. Failures raise before [add], so they are never
+         cached. *)
+      let key = Suu_harness.Io.digest instance ^ "/oblivious" in
+      match Cache.find policies key with
+      | Some policy -> policy
+      | None ->
+          let policy = build () in
+          Cache.add policies key policy;
+          policy)
+  | `Adaptive | `Improved | `Fixed -> build ()
+
+let execute op ~policies ~domains ~stop ~on_word =
   match op with
   | Request.Solve
       { algo; trials; seed; range; ci_target; releases; churn; instance } ->
@@ -331,11 +376,7 @@ let execute op ~domains ~stop ~on_word =
          [canonical_algo] is also what the cache key is built from, so a
          key can never alias two different computations. *)
       let kind = Request.canonical_algo algo in
-      let policy =
-        try Suu_algo.Solver.solve ~kind instance with
-        | Suu_algo.Solver.Unsupported msg -> failed "unsupported: %s" msg
-        | Suu_algo.Lp_relax.Lp_failure msg -> failed "lp: %s" msg
-      in
+      let policy = build_policy ~policies ~kind instance in
       estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target
         ~releases ~churn ~stop ~on_word instance
   | Request.Estimate
@@ -367,12 +408,15 @@ type job = {
   req : Request.t;
 }
 
-let report_of ~metrics ~cache ~queue =
+let report_of ~metrics ~cache ~policies ~queue =
   {
     metrics = Metrics.snapshot metrics;
     cache_hits = Cache.hits cache;
     cache_misses = Cache.misses cache;
     cache_size = Cache.length cache;
+    policy_cache_hits = Cache.hits policies;
+    policy_cache_misses = Cache.misses policies;
+    policy_cache_size = Cache.length policies;
     queue_hwm = Work_queue.high_water_mark queue;
   }
 
@@ -392,6 +436,9 @@ let stats_fields r =
       ("cache_hits", Json.int r.cache_hits);
       ("cache_misses", Json.int r.cache_misses);
       ("cache_size", Json.int r.cache_size);
+      ("policy_cache_hits", Json.int r.policy_cache_hits);
+      ("policy_cache_misses", Json.int r.policy_cache_misses);
+      ("policy_cache_size", Json.int r.policy_cache_size);
       ("queue_hwm", Json.int r.queue_hwm);
     ]
   in
@@ -463,7 +510,7 @@ let backoff_s cfg ~seq ~attempt =
   let jitter = Fault.jitter cfg.fault ~key:(Fault.attempt_key ~seq ~attempt) in
   Float.min raw backoff_cap_ms *. (0.5 +. (0.5 *. jitter)) /. 1000.
 
-let handle_job cfg ~metrics ~cache ~queue ~em job =
+let handle_job cfg ~metrics ~cache ~policies ~queue ~em job =
   let { seq; admitted_at; degraded; req } = job in
   let id = req.Request.id in
   let deadline_ms =
@@ -505,7 +552,7 @@ let handle_job cfg ~metrics ~cache ~queue ~em job =
          stream (responses record their metrics before they emit). *)
       Metrics.record_stats_request metrics;
       emit_lazy em seq (fun () ->
-          let r = report_of ~metrics ~cache ~queue in
+          let r = report_of ~metrics ~cache ~policies ~queue in
           match format with
           | `Json -> Request.ok ~id (stats_fields r)
           | `Prom ->
@@ -581,8 +628,8 @@ let handle_job cfg ~metrics ~cache ~queue ~em job =
                      else [])
                   "execute"
                   (fun () ->
-                    execute op ~domains:cfg.estimate_domains ~stop:expired
-                      ~on_word)
+                    execute op ~policies ~domains:cfg.estimate_domains
+                      ~stop:expired ~on_word)
               with
               | fields ->
                   Option.iter (fun cache_k -> Cache.add cache cache_k fields) key;
@@ -643,6 +690,7 @@ let serve cfg (module T0 : TRANSPORT) =
   let module T = (val wrap_transport fault (module T0)) in
   let metrics = Metrics.create () in
   let cache = Cache.create ~capacity:cfg.cache_capacity in
+  let policies = Cache.create ~capacity:policy_cache_capacity in
   let on_pop =
     if fault.Fault.queue_delay = 0. then fun () -> ()
     else begin
@@ -692,7 +740,7 @@ let serve cfg (module T0 : TRANSPORT) =
         (match
            if Fault.fires fault Fault.Crash ~key:job.seq then
              raise Fault.Injected_crash
-           else handle_job cfg ~metrics ~cache ~queue ~em job
+           else handle_job cfg ~metrics ~cache ~policies ~queue ~em job
          with
         | () -> ()
         | exception e ->
@@ -774,7 +822,7 @@ let serve cfg (module T0 : TRANSPORT) =
         drain_unserved ()
   in
   drain_unserved ();
-  report_of ~metrics ~cache ~queue
+  report_of ~metrics ~cache ~policies ~queue
 
 let run_lines cfg lines =
   let input = ref lines in

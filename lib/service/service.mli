@@ -29,6 +29,20 @@
     fan-out, scheduling, or cache state. A cache hit therefore returns
     byte-identical result fields to a recomputation.
 
+    {2 Two caches}
+
+    The {e result cache} ([cache_capacity] entries, {!Request.cache_key})
+    maps a whole request — instance digest, op, algorithm, trials, seed
+    and the other result-shaping fields — to its answer fields. The
+    {e built-policy cache} (32 entries, always on) maps
+    [(]{!Suu_harness.Io.digest}[ instance, canonical algorithm)] to the
+    policy an [oblivious] solve builds, the one kind that solves an LP
+    (6–26 ms at n=64, m=16 on a 2-vCPU x86-64 host). A resubmitted
+    instance with a new seed or trial count misses the first and hits
+    the second. Policies are
+    immutable and their [fresh] creates all per-run state, so every
+    worker domain shares one; a failed build is not cached.
+
     {2 Deadlines}
 
     A request's budget ([deadline_ms], or the configured default) is
@@ -69,7 +83,9 @@
 type config = {
   workers : int;  (** worker domains (>= 1) *)
   queue_capacity : int;  (** pending requests before load shedding *)
-  cache_capacity : int;  (** LRU entries; 0 disables caching *)
+  cache_capacity : int;
+      (** result-cache LRU entries; 0 disables result caching. The
+          built-policy cache has a fixed size and is not affected. *)
   default_trials : int;  (** when a request omits ["trials"] *)
   default_seed : int;  (** when a request omits ["seed"] *)
   default_deadline_ms : float option;
@@ -121,6 +137,9 @@ type report = {
   cache_hits : int;
   cache_misses : int;
   cache_size : int;
+  policy_cache_hits : int;  (** oblivious solves that reused a built policy *)
+  policy_cache_misses : int;  (** oblivious solves that built one *)
+  policy_cache_size : int;
   queue_hwm : int;  (** queue depth high-water mark *)
 }
 
@@ -129,7 +148,7 @@ val report_to_string : report -> string
 
 val report_to_prom : ?workers:int -> report -> string
 (** Prometheus-style text exposition (format 0.0.4): service counters,
-    cache/queue gauges (plus a [suu_workers] gauge when [workers] is
+    result- and policy-cache counters, cache/queue gauges (plus a [suu_workers] gauge when [workers] is
     given), the full ok-latency histogram with cumulative [le] buckets,
     and the engine's process-wide counters
     ({!Suu_sim.Engine.counters} — trials run, naive steps simulated,

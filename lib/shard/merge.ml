@@ -163,6 +163,7 @@ let counter_names =
   [
     "requests"; "ok"; "errors"; "timeouts"; "rejected"; "worker_crashes";
     "restarts"; "retries"; "degraded"; "cache_hits"; "cache_misses";
+    "policy_cache_hits"; "policy_cache_misses";
   ]
 
 type telemetry = {

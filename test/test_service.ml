@@ -865,6 +865,150 @@ let test_service_lp_failure () =
     ]
     out
 
+(* A valid instance whose guess-doubling schedule would outgrow memory:
+   with p = 1e-12 the improved family's phase ladder would need a
+   2.5e11-step guess. The build stops before allocating it and answers a
+   structured error that keeps the id, twice (nothing is cached), while
+   the same instance's adaptive solve still answers. *)
+let test_service_build_budget () =
+  let faint = "suu 1\nn 1 m 1\nedges 0\nprobs\n1e-12" in
+  let line id algo =
+    Printf.sprintf
+      {|{"op":"solve","id":"%s","algo":"%s","trials":5,"seed":1,"instance":"%s"}|}
+      id algo faint
+  in
+  let out, report =
+    Service.run_lines (config ~workers:1)
+      [ line "i1" "improved"; line "i2" "improved"; line "a" "adaptive" ]
+  in
+  let too_long id =
+    Printf.sprintf
+      {|{"id":"%s","status":"error","error":"too expensive: a 2097152-step guess at m=1 exceeds the 4194304-word schedule budget (p_min 1e-12)"}|}
+      id
+  in
+  Alcotest.(check (list string)) "structured errors"
+    [ too_long "i1"; too_long "i2" ]
+    [ List.nth out 0; List.nth out 1 ];
+  Alcotest.(check (option string)) "adaptive still answers" (Some "ok")
+    (status (List.nth out 2));
+  Alcotest.(check int) "no worker crashed" 0
+    report.Service.metrics.Suu_service.Metrics.worker_crashes
+
+(* --- the built-policy cache --- *)
+
+(* One [oblivious] solve line for [inst]; [id] and [seed] vary. *)
+let oblivious_line ?(trials = 200) id ~seed inst =
+  Json.to_string
+    (Json.Obj
+       [
+         ("op", Json.Str "solve");
+         ("id", Json.Str id);
+         ("algo", Json.Str "oblivious");
+         ("trials", Json.int trials);
+         ("seed", Json.int seed);
+         ("instance", Json.Str (Suu_harness.Io.to_string inst));
+       ])
+
+(* The four LP-backed families at n=64, m=16, as [suu gen -w W -n 64
+   -m 16 --seed 1] generates them. *)
+let lp_families () =
+  let module W = Suu_workloads.Workload in
+  List.map
+    (fun (name, gen) -> (name, (gen (Suu_prob.Rng.create 1) ~n:64 ~m:16).W.instance))
+    [
+      ("grid-batch", W.grid_batch);
+      ("grid-workflow", W.grid_workflow ~stages:4);
+      ("grid-divide", W.grid_divide);
+      ("project", W.project);
+    ]
+
+let policy_counts (r : Service.report) =
+  (r.Service.policy_cache_hits, r.Service.policy_cache_misses)
+
+let counts_t = Alcotest.(pair int int)
+
+(* A resubmitted instance with a new seed misses the result cache and
+   hits the policy cache; its answer is byte-identical to a fresh
+   service's, which has to build. *)
+let test_policy_cache_hit_bytes () =
+  List.iter
+    (fun (name, inst) ->
+      let warm, r_warm =
+        Service.run_lines (config ~workers:1)
+          [ oblivious_line "a" ~seed:3 inst; oblivious_line "b" ~seed:4 inst ]
+      in
+      let cold, r_cold =
+        Service.run_lines (config ~workers:1) [ oblivious_line "b" ~seed:4 inst ]
+      in
+      Alcotest.(check (option string)) (name ^ ": ok") (Some "ok")
+        (status (List.nth warm 1));
+      Alcotest.(check string) (name ^ ": hit = fresh miss") (List.hd cold)
+        (List.nth warm 1);
+      Alcotest.check counts_t (name ^ ": warm counts") (1, 1) (policy_counts r_warm);
+      Alcotest.check counts_t (name ^ ": cold counts") (0, 1) (policy_counts r_cold))
+    (lp_families ())
+
+(* Four workers racing on one instance (each may miss and build) answer
+   the same bytes as one worker. *)
+let test_policy_cache_workers () =
+  let inst = List.assoc "grid-workflow" (lp_families ()) in
+  let lines =
+    List.init 8 (fun k -> oblivious_line ~trials:40 (Printf.sprintf "w%d" k) ~seed:k inst)
+  in
+  let one, r_one = Service.run_lines (config ~workers:1) lines in
+  let four, r_four = Service.run_lines (config ~workers:4) lines in
+  Alcotest.(check (list string)) "4 workers = 1 worker" one four;
+  Alcotest.check counts_t "1 worker: one build" (7, 1) (policy_counts r_one);
+  let hits, misses = policy_counts r_four in
+  Alcotest.(check int) "4 workers: every lookup counted" 8 (hits + misses);
+  Alcotest.(check bool) "4 workers: at most one build each" true
+    (misses >= 1 && misses <= 4)
+
+(* A failed build is not cached: two errors, two misses. *)
+let test_policy_cache_failure () =
+  let line id =
+    Printf.sprintf
+      {|{"op":"solve","id":"%s","algo":"oblivious","trials":5,"seed":1,"instance":"suu 1\nn 1 m 1\nedges 0\nprobs\n1e-12"}|}
+      id
+  in
+  let out, report = Service.run_lines (config ~workers:1) [ line "f1"; line "f2" ] in
+  Alcotest.(check (list (option string))) "two errors"
+    [ Some "error"; Some "error" ]
+    (List.map status out);
+  Alcotest.check counts_t "two misses" (0, 2) (policy_counts report);
+  Alcotest.(check int) "nothing held" 0 report.Service.policy_cache_size
+
+(* [cache_capacity = 0] turns off the result cache only. *)
+let test_policy_cache_result_cache_off () =
+  let inst = List.assoc "project" (lp_families ()) in
+  let _, report =
+    Service.run_lines
+      { (config ~workers:1) with Service.cache_capacity = 0 }
+      [ oblivious_line "a" ~seed:1 inst; oblivious_line "b" ~seed:1 inst ]
+  in
+  Alcotest.check counts_t "the repeat hits" (1, 1) (policy_counts report);
+  Alcotest.(check int) "no result hit" 0 report.Service.cache_hits
+
+(* 32 entries: the 33rd distinct instance evicts the least recently
+   used one, the first. *)
+let test_policy_cache_eviction () =
+  let inst k =
+    Suu_harness.Io.of_string
+      (Printf.sprintf "suu 1\nn 2 m 2\nedges 0\nprobs\n0.5 0.%02d\n0.25 0.5" (k + 10))
+  in
+  let lines =
+    List.init 33 (fun k -> oblivious_line ~trials:5 (Printf.sprintf "d%d" k) ~seed:1 (inst k))
+    @ [
+        oblivious_line ~trials:5 "last again" ~seed:2 (inst 32);
+        oblivious_line ~trials:5 "first again" ~seed:2 (inst 0);
+      ]
+  in
+  let out, report = Service.run_lines (config ~workers:1) lines in
+  Alcotest.(check bool) "all ok" true
+    (List.for_all (fun l -> status l = Some "ok") out);
+  Alcotest.check counts_t "first evicted, last kept" (1, 34) (policy_counts report);
+  Alcotest.(check int) "capacity 32" 32 report.Service.policy_cache_size
+
 let test_service_queue_full_rejects () =
   (* Capacity-1 queue, one worker held busy by the first request: with the
      reader racing far ahead, at least one of the many pending requests
@@ -1462,6 +1606,8 @@ let () =
             test_service_plan_mismatch_rejected;
           Alcotest.test_case "lp failure is structured" `Quick
             test_service_lp_failure;
+          Alcotest.test_case "build budget is structured" `Quick
+            test_service_build_budget;
           Alcotest.test_case "queue full rejects" `Quick
             test_service_queue_full_rejects;
           Alcotest.test_case "survives hostile instance" `Quick
@@ -1485,5 +1631,18 @@ let () =
             test_service_stall_timeout;
           Alcotest.test_case "any-seed invariants" `Quick
             test_service_chaos_any_seed;
+        ] );
+      ( "policy cache",
+        [
+          Alcotest.test_case "hit = fresh miss, four families" `Quick
+            test_policy_cache_hit_bytes;
+          Alcotest.test_case "4 workers = 1 worker" `Quick
+            test_policy_cache_workers;
+          Alcotest.test_case "failures not cached" `Quick
+            test_policy_cache_failure;
+          Alcotest.test_case "result cache off still hits" `Quick
+            test_policy_cache_result_cache_off;
+          Alcotest.test_case "33 instances evict the first" `Quick
+            test_policy_cache_eviction;
         ] );
     ]

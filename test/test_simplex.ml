@@ -718,6 +718,68 @@ let test_oracle_workloads () =
       ("project", W.project);
     ]
 
+(* --- the per-domain tableau buffer --- *)
+
+(* The (LP1) of the grid-workflow chains at n=64, m=16: a 1,184-row
+   tableau, the largest the served families solve. *)
+let large_lp () =
+  let module W = Suu_workloads.Workload in
+  let inst = (W.grid_workflow ~stages:4 (Rng.create 1) ~n:64 ~m:16).W.instance in
+  List.hd (relaxations inst)
+
+(* A tableau above the 2^23-float retention cap: 64 rows over 131,100
+   variables, nearly all of them zero columns, with a phase 1 from the
+   [>=] rows. Few pivots, so the dense oracle stays quick. *)
+let wide_lp () =
+  let b = Lp.builder () in
+  let xs =
+    Array.init 131_100 (fun v ->
+        Lp.add_var b ~obj:(if v < 128 then float (1 + (v mod 5)) else 0.)
+          (Printf.sprintf "x%d" v))
+  in
+  for r = 0 to 63 do
+    Lp.add_le b [ (xs.(r), 1.); (xs.(r + 64), 2.) ] (float (r + 1));
+    if r mod 8 = 0 then Lp.add_ge b [ (xs.(r), 1.); (xs.(131_099 - r), 1.) ] 0.5
+  done;
+  Lp.build b `Maximize
+
+(* A solve after a larger one in the same domain runs in the prefix of
+   a buffer whose tail holds the larger tableau, and the larger one
+   after it must see none of the smaller one's state: each is checked
+   bit for bit against the oracle, which allocates fresh. *)
+let sequence () =
+  [ ("large", large_lp ()); ("small", klee_minty 5); ("large again", large_lp ()) ]
+
+let test_buffer_reuse () =
+  List.iter (fun (what, p) -> check_same what p) (sequence ())
+
+let test_buffer_two_domains () =
+  let lps = sequence () in
+  let expected = List.map (fun (_, p) -> dense p) lps in
+  let run () = List.map (fun (_, p) -> sparse p) lps in
+  let domains = List.init 2 (fun _ -> Domain.spawn run) in
+  List.iteri
+    (fun d got ->
+      List.iter2
+        (fun (what, _) (e, g) ->
+          Alcotest.check verdict_t (Printf.sprintf "domain %d, %s" d what) e g)
+        lps (List.combine expected got))
+    (List.map Domain.join domains)
+
+let test_buffer_above_cap () =
+  let p = wide_lp () in
+  (* m + 1 rows of the variables, a slack per row and an artificial per
+     [>=] row. *)
+  let rows = List.length p.Lp.rows in
+  Alcotest.(check bool) "above the retention cap" true
+    ((rows + 1) * (p.Lp.nvars + rows + 8) > 1 lsl 23);
+  let expected = dense p in
+  Alcotest.(check bool) "wide LP has an optimum" true
+    (match expected with Opt _ -> true | _ -> false);
+  Alcotest.check verdict_t "wide LP" expected (sparse p);
+  (* The retained buffer still serves the solves after it. *)
+  List.iter (fun (what, p) -> check_same ("after the wide LP: " ^ what) p) (sequence ())
+
 let () =
   Alcotest.run "simplex"
     [
@@ -757,5 +819,14 @@ let () =
             test_oracle_generated;
           Alcotest.test_case "workload relaxations n=64 m=16" `Quick
             test_oracle_workloads;
+        ] );
+      ( "tableau buffer",
+        [
+          Alcotest.test_case "large, small, large in one domain" `Quick
+            test_buffer_reuse;
+          Alcotest.test_case "two domains at once" `Quick
+            test_buffer_two_domains;
+          Alcotest.test_case "above the retention cap" `Quick
+            test_buffer_above_cap;
         ] );
     ]
