@@ -65,3 +65,15 @@ let uniform_instance seed ~n ~m ~lo ~hi dag =
     ~dag
 
 let log2 x = Float.log x /. Float.log 2.
+
+(* Job [j] of a job shop as a chain pseudo-schedule: its [(machine,
+   duration)] operations become [(machine, j, start, duration)] windows,
+   each starting where the previous one ended. *)
+let shop_chain ~m j ops =
+  let windows, length =
+    List.fold_left
+      (fun (acc, start) (machine, duration) ->
+        ((machine, j, start, duration) :: acc, start + duration))
+      ([], 0) ops
+  in
+  Suu_core.Pseudo.of_windows ~m ~length windows

@@ -156,18 +156,14 @@ let tests () =
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_seeded ~domains:4 ~trials:200
              ~seed:3 inst64 policy));
-    Test.make ~name:"jobshop derandomized delays 16x48"
+    Test.make ~name:"derandomized delays 48 chains m=16"
       (Staged.stage
-         (let shop =
-            Suu_jobshop.Jobshop.create ~machines:16
-              (Array.init 48 (fun j ->
-                   List.init 5 (fun k ->
-                       {
-                         Suu_jobshop.Jobshop.machine = (j + k) mod 16;
-                         duration = 1 + (k mod 2);
-                       })))
+         (let chains =
+            List.init 48 (fun j ->
+                shop_chain ~m:16 j
+                  (List.init 5 (fun k -> ((j + k) mod 16, 1 + (k mod 2)))))
           in
-          fun () -> Suu_jobshop.Jobshop.derandomized_delay shop));
+          fun () -> Suu_algo.Delay.derandomized chains));
     Test.make ~name:"maxflow clrs-style 200 nodes"
       (Staged.stage (fun () ->
            let g = Suu_flow.Maxflow.create 200 in

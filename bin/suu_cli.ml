@@ -129,11 +129,14 @@ let decompose_cmd =
     Term.(const run $ instance_arg)
 
 (* A build can fail on a valid instance: the paper's oblivious column
-   solves (LP1)/(LP2), which can fail numerically, and a tiny p_min can
-   push the guess-doubling schedules past their length budget. Report
-   either and exit 1, as the unsupported cases do. *)
+   has no algorithm for a general DAG and solves (LP1)/(LP2), which can
+   fail numerically, and a tiny p_min can push the guess-doubling
+   schedules past their length budget. Report any of them and exit 1. *)
 let exit_on_build_failure cmd f =
   try f () with
+  | Suu_algo.Solver.Unsupported msg ->
+      Printf.eprintf "suu %s: unsupported: %s\n" cmd msg;
+      exit 1
   | Suu_algo.Lp_relax.Lp_failure msg ->
       Printf.eprintf "suu %s: lp: %s\n" cmd msg;
       exit 1
@@ -168,12 +171,13 @@ let solve_cmd =
       | "baselines" -> Suu_algo.Baselines.all ~seed inst
       | _ ->
           (* Built in column order, so the first failing build is the
-             one reported. *)
+             one reported. A general DAG drops the oblivious column. *)
           let adaptive = build `Adaptive in
           let oblivious =
-            match build `Oblivious with
-            | p -> [ p ]
-            | exception Suu_algo.Solver.Unsupported _ -> []
+            exit_on_build_failure "solve" (fun () ->
+                match Suu_algo.Solver.solve ~kind:`Oblivious inst with
+                | p -> [ p ]
+                | exception Suu_algo.Solver.Unsupported _ -> [])
           in
           let improved = build `Improved in
           let fixed = build `Fixed in
@@ -826,13 +830,7 @@ let trace_cmd =
       match policy with `Oblivious -> `Oblivious | `Auto | `Adaptive -> `Adaptive
     in
     let pol =
-      match
-        exit_on_build_failure "trace" (fun () -> Suu_algo.Solver.solve ~kind inst)
-      with
-      | p -> p
-      | exception Suu_algo.Solver.Unsupported msg ->
-          Printf.eprintf "suu trace: unsupported: %s\n" msg;
-          exit 1
+      exit_on_build_failure "trace" (fun () -> Suu_algo.Solver.solve ~kind inst)
     in
     let observer, captured =
       ET.collector ~sample_every:(max 1 sample_every) ~limit:(max 1 limit) ()

@@ -2,7 +2,7 @@
    estimated. This example walks through the paper's probabilistic
    objects computed exactly — the regimen Markov chain, optimal expected
    makespans, makespan CDFs for both regimens and oblivious schedules —
-   and uses the Chernoff module to size a Monte-Carlo run that then
+   and sizes a Monte-Carlo run with Hoeffding's inequality that then
    confirms the exact numbers.
 
    Run with: dune exec examples/exact_analysis.exe *)
@@ -56,13 +56,17 @@ let () =
            Printf.sprintf "%.4f" cdf_obl.(t);
          ]));
 
-  (* 5. Chernoff-sized Monte-Carlo confirmation. The makespan is not
+  (* 5. Hoeffding-sized Monte-Carlo confirmation. The makespan is not
      [0,1]-bounded, so we size trials for estimating P(T <= median-ish)
-     within 0.02 at 99% confidence, then also compare means. *)
+     within epsilon = 0.02 at 99% confidence: the two-sided bound
+     2 exp(-2 n epsilon^2) <= 0.01 needs n >= ln(2 / 0.01) / (2 epsilon^2).
+     Then we also compare means. *)
+  let epsilon = 0.02 and failure = 0.01 in
   let trials =
-    Suu_prob.Chernoff.sample_size ~epsilon:0.02 ~confidence:0.99
+    Float.to_int
+      (Float.ceil (Float.log (2. /. failure) /. (2. *. epsilon *. epsilon)))
   in
-  Format.printf "@.Chernoff says %d trials estimate a probability within \
+  Format.printf "@.Hoeffding says %d trials estimate a probability within \
                  0.02 at 99%%@."
     trials;
   let e =

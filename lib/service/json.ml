@@ -28,8 +28,10 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no infinity or NaN: a non-finite number prints as null. *)
 let num_to_string x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.12g" x
 
 let rec emit buf = function

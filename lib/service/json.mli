@@ -7,7 +7,8 @@
     are byte-deterministic — which is what lets the cram tests pin them.
 
     Numbers are [float]s (as in JSON itself); integral values within the
-    exactly-representable range print without a decimal point. *)
+    exactly-representable range print without a decimal point, and
+    non-finite values, which JSON cannot represent, print as [null]. *)
 
 type t =
   | Null

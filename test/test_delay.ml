@@ -83,6 +83,17 @@ let test_derandomized_range_zero () =
   let _, choice = Delay.derandomized ~range:0 [ a; b ] in
   Alcotest.(check (array int)) "forced zero" [| 0; 0 |] choice.Delay.delays
 
+let test_derandomized_pipelines_flow_shop () =
+  (* Five identical chains, each one step on machines 0, 1, 2 in turn:
+     zero delays stack all five on each machine (flattened length 15);
+     delaying chain k by k pipelines them, meeting C + D - 1 = 7. *)
+  let chain k =
+    Pseudo.of_windows ~m:3 ~length:3 [ (0, k, 0, 1); (1, k, 1, 1); (2, k, 2, 1) ]
+  in
+  let _, choice = Delay.derandomized (List.init 5 chain) in
+  Alcotest.(check (array int)) "staggered" [| 0; 1; 2; 3; 4 |] choice.Delay.delays;
+  Alcotest.(check int) "C + D - 1" 7 choice.Delay.flattened_length
+
 let test_derandomized_rejects_empty () =
   Alcotest.check_raises "empty"
     (Invalid_argument "Delay.derandomized: no chains") (fun () ->
@@ -190,6 +201,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick
             test_derandomized_deterministic;
           Alcotest.test_case "range zero" `Quick test_derandomized_range_zero;
+          Alcotest.test_case "flow shop" `Quick
+            test_derandomized_pipelines_flow_shop;
           Alcotest.test_case "empty rejected" `Quick
             test_derandomized_rejects_empty;
         ] );

@@ -45,7 +45,10 @@ let test_json_roundtrip () =
 let test_json_integral_output () =
   Alcotest.(check string) "int" "42" (Json.to_string (Json.int 42));
   Alcotest.(check string) "neg" "-7" (Json.to_string (Json.int (-7)));
-  Alcotest.(check string) "frac" "1.25" (Json.to_string (Json.Num 1.25))
+  Alcotest.(check string) "frac" "1.25" (Json.to_string (Json.Num 1.25));
+  Alcotest.(check string) "non-finite" "[null,null,null]"
+    (Json.to_string
+       (Json.List [ Json.Num Float.infinity; Json.Num Float.neg_infinity; Json.Num Float.nan ]))
 
 let test_json_parse_escapes () =
   match Json.of_string {|"aA\né"|} with
@@ -1053,6 +1056,41 @@ let test_service_survives_hostile_instance () =
   Alcotest.(check int) "error counted" 1
     report.Service.metrics.Suu_service.Metrics.errors
 
+let test_service_answers_are_json () =
+  (* Every answer line must parse as JSON, including answers whose
+     numbers are not finite: a probability of 1e-320 makes every bound
+     of the one-job instance infinite. *)
+  let faint = "suu 1\nn 1 m 1\nedges 0\nprobs\n1e-320" in
+  let req fmt = Printf.sprintf fmt in
+  let lines =
+    [
+      req {|{"op":"info","id":"i","instance":"%s"}|} (escaped instance_text);
+      req {|{"op":"info","id":"inf","instance":"%s"}|} (escaped faint);
+      req {|{"op":"solve","id":"s","trials":8,"seed":1,"instance":"%s"}|}
+        (escaped faint);
+      req {|{"op":"solve","id":"o","algo":"oblivious","trials":8,"seed":1,"instance":"%s"}|}
+        (escaped chain_text);
+      req {|{"op":"exact","id":"x","instance":"%s"}|} (escaped instance_text);
+      req {|{"op":"exact","id":"xf","instance":"%s"}|} (escaped faint);
+      {|{"op":"ping","id":"p"}|};
+      "garbage";
+      {|{"op":"stats","id":"z"}|};
+      {|{"op":"stats","id":"zp","format":"prom"}|};
+    ]
+  in
+  let out, _ = Service.run_lines (config ~workers:1) lines in
+  Alcotest.(check int) "one answer per line" (List.length lines)
+    (List.length out);
+  List.iter
+    (fun line ->
+      match Json.of_string line with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "answer is not JSON (%s): %s" msg line)
+    out;
+  Alcotest.(check (option string)) "infinite bounds are null"
+    (Some {|{"rate":null,"capacity":null,"critical_path":null,"best":null}|})
+    (Option.map Json.to_string (field "bounds" (List.nth out 1)))
+
 let test_metrics_latency_bounded () =
   let module Metrics = Suu_service.Metrics in
   let m = Metrics.create () in
@@ -1612,6 +1650,8 @@ let () =
             test_service_queue_full_rejects;
           Alcotest.test_case "survives hostile instance" `Quick
             test_service_survives_hostile_instance;
+          Alcotest.test_case "answers are JSON" `Quick
+            test_service_answers_are_json;
           Alcotest.test_case "bounded latency metrics" `Quick
             test_metrics_latency_bounded;
         ] );
