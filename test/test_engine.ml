@@ -376,6 +376,140 @@ let test_word_fold_bit_identity () =
         [ None; Some 0.2 ])
     policies
 
+(* Kernel golden: the MD5 of the sample bits of 200-trial seeded
+   estimates on the four workload families at n=64, m=16 (built as the
+   perf suite's [lp_workloads]), for the three greedy kinds. Pinned
+   before the greedy lane kernel's group mass check, which must leave
+   every sample bit unchanged; these sizes run its hard-lane path on
+   most steps, unlike the 4-job pinned instance. *)
+let kernel_golden =
+  [
+    ( "grid_batch",
+      `Adaptive,
+      [
+        "6876d136417f7e2b473165a49c0db4f8";
+        "23f295f4a6eccecbc12ebf24d2e47392";
+        "181827c3791f132d54d7fd8907ebab33";
+      ] );
+    ( "grid_batch",
+      `Improved,
+      [
+        "544be88cfc71c00c0c33d663945e2374";
+        "0f938cd78e8e9ee1f9c3622606a04e76";
+        "918e94073a5a954d78da218babe11ff1";
+      ] );
+    ( "grid_batch",
+      `Fixed,
+      [
+        "861a820a315a0a0735fd40a771344140";
+        "0d7cc3ea7b8597f00464069680db4b4b";
+        "d31bb83309ff7cae5a672212a562919f";
+      ] );
+    ( "grid_workflow",
+      `Adaptive,
+      [
+        "fab7eab8e3c95beaebd3eb53d94ba36e";
+        "edfb3b8fea1dc9b7134cb65ac8f390f2";
+        "a5971cc3a21aea2067c0b78ff1ea6fda";
+      ] );
+    ( "grid_workflow",
+      `Improved,
+      [
+        "8abf20bd1650d14117ee77c1309645bb";
+        "0462e8b279df5b9f4ce949fedac77b4c";
+        "85b8604a10539e836a522d03e8f46d87";
+      ] );
+    ( "grid_workflow",
+      `Fixed,
+      [
+        "2c9a6dd64dc2875d22191438d87e641f";
+        "20db78a654ae1f5feafc89f1e9f47f41";
+        "c05b21f259a899d651e4321a4dbd1451";
+      ] );
+    ( "grid_divide",
+      `Adaptive,
+      [
+        "f39fa2e01888dff3f52170f5bcfb8777";
+        "795e7ec52730a191778fcbcd500e8152";
+        "2502393af1c845861ca24aa67e97fd1a";
+      ] );
+    ( "grid_divide",
+      `Improved,
+      [
+        "d3fa85a69bf868afa94bada3a2749f42";
+        "d1a301f18bde85c0ff256b4e6139f2ea";
+        "009270e03c67a39df10ebc92b62b053e";
+      ] );
+    ( "grid_divide",
+      `Fixed,
+      [
+        "e1684839178ce25e4ee6c318ff1ecb11";
+        "795a9ff9d580a3b1f8fd3690e55fa699";
+        "4b1bedbca3c19895003164183d788b98";
+      ] );
+    ( "project",
+      `Adaptive,
+      [
+        "6dc48e70732c72a8f393e32dcb89e7b6";
+        "49b8e5f5297182f6017ef8ca2c7a1347";
+        "998e4ceae2d416f9339507e8d6865003";
+      ] );
+    ( "project",
+      `Improved,
+      [
+        "da75fd11bf0f73a8cbb131cb26958526";
+        "d02837e5f68feb94b7f3758a59f0c849";
+        "65a2aa5aadb5db2fc4bafc59bdee2c25";
+      ] );
+    ( "project",
+      `Fixed,
+      [
+        "ca837142f9a5bf99af112ae56fa5489b";
+        "66dd28b08b917b651680d7024251a54b";
+        "634e95c8aa4126f11e94bb87711d2b02";
+      ] );
+  ]
+
+let golden_families () =
+  let module W = Suu_workloads.Workload in
+  let gen f = (f (Rng.create 1) ~n:64 ~m:16).W.instance in
+  [
+    ("grid_batch", gen W.grid_batch);
+    ("grid_workflow", gen (W.grid_workflow ~stages:4));
+    ("grid_divide", gen W.grid_divide);
+    ("project", gen W.project);
+  ]
+
+let kind_name : Suu_algo.Solver.kind -> string = function
+  | `Adaptive -> "adaptive"
+  | `Oblivious -> "oblivious"
+  | `Improved -> "improved"
+  | `Fixed -> "fixed"
+
+let sample_digest inst policy ~seed =
+  let e = Engine.estimate_makespan_seeded ~trials:200 ~seed inst policy in
+  let b = Buffer.create (8 * 200) in
+  Array.iter
+    (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x))
+    e.Engine.samples;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_kernel_golden () =
+  let families = golden_families () in
+  List.iter
+    (fun (fam, kind, digests) ->
+      let inst = List.assoc fam families in
+      let policy = Suu_algo.Solver.solve ~kind inst in
+      List.iteri
+        (fun i want ->
+          let seed = i + 1 in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s seed %d" fam (kind_name kind) seed)
+            want
+            (sample_digest inst policy ~seed))
+        digests)
+    kernel_golden
+
 let test_range_rejects_unaligned_lo () =
   let inst = pinned_instance () in
   Alcotest.check_raises "unaligned lo"
@@ -686,6 +820,8 @@ let () =
             test_word_fold_bit_identity;
           Alcotest.test_case "range rejects unaligned lo" `Quick
             test_range_rejects_unaligned_lo;
+          Alcotest.test_case "kernel golden (n=64 m=16 families)" `Quick
+            test_kernel_golden;
           Alcotest.test_case "parallel = seeded at any domain count" `Quick
             test_parallel_equals_seeded_any_domains;
           Alcotest.test_case "parallel stop interrupts" `Quick
