@@ -16,10 +16,14 @@ let chain_instance n m chains =
   uniform_instance (master_seed + 124) ~n ~m ~lo:0.1 ~hi:0.9 dag
 
 (* The four workload families that reach the paper's LP-backed oblivious
-   column, generated as [suu gen -w W -n 64 -m 16 --seed 1] does. *)
+   column, generated as [suu gen -w W -n 64 -m 16 --seed 1] does, with
+   their names. *)
 let lp_workloads () =
   let module W = Suu_workloads.Workload in
-  let gen f = (f (Rng.create 1) ~n:64 ~m:16).W.instance in
+  let gen f =
+    let w = f (Rng.create 1) ~n:64 ~m:16 in
+    (w.W.name, w.W.instance)
+  in
   [
     gen W.grid_batch;
     gen (W.grid_workflow ~stages:4);
@@ -85,7 +89,7 @@ let tests () =
      and delays, one row per algorithm the four families dispatch to. *)
   let oblivious_builds =
     List.map
-      (fun inst ->
+      (fun (_, inst) ->
         Test.make
           ~name:
             (Printf.sprintf "oblivious build n=64 m=16 (%s)"
@@ -93,8 +97,36 @@ let tests () =
           (Staged.stage (fun () -> Suu_algo.Solver.solve inst)))
       (lp_workloads ())
   in
-  oblivious_builds
+  (* The served adaptive estimate on each family: the greedy kernel's
+     hard-lane mass check runs on most steps at this size. *)
+  let adaptive_estimates =
+    List.map
+      (fun (family, inst) ->
+        let policy = Suu_algo.Suu_i.policy inst in
+        Test.make
+          ~name:
+            (Printf.sprintf "200 MC trials seeded adaptive %s (n=64 m=16)"
+               family)
+          (Staged.stage (fun () ->
+               Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3
+                 inst policy)))
+      (lp_workloads ())
+  in
+  (* The MSM pair sort a freshly parsed instance pays on first use; each
+     run builds the instance anew (a copy of the 16 x 64 matrix), since
+     [sorted_pairs] is memoised per instance. *)
+  let pairs_p, pairs_dag =
+    let inst = List.assoc "grid-workflow" (lp_workloads ()) in
+    ( Array.init 16 (fun i ->
+          Array.init 64 (fun j -> Suu_core.Instance.prob inst ~machine:i ~job:j)),
+      Suu_core.Instance.dag inst )
+  in
+  oblivious_builds @ adaptive_estimates
   @ [
+    Test.make ~name:"sorted_pairs fresh instance (n=64 m=16)"
+      (Staged.stage (fun () ->
+           Suu_core.Instance.sorted_pairs
+             (Suu_core.Instance.create ~p:pairs_p ~dag:pairs_dag)));
     Test.make ~name:"Request.of_line (wire line n=64 m=16)"
       (Staged.stage decode);
     Test.make ~name:"Request.cache_key (n=64 m=16)"

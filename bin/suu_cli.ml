@@ -130,8 +130,9 @@ let decompose_cmd =
 
 (* A build can fail on a valid instance: the paper's oblivious column
    has no algorithm for a general DAG and solves (LP1)/(LP2), which can
-   fail numerically, and a tiny p_min can push the guess-doubling
-   schedules past their length budget. Report any of them and exit 1. *)
+   fail numerically, a tiny p_min can push the guess-doubling schedules
+   past their length budget, and a p whose 1/p overflows leaves the
+   fixed column no finite load. Report any of them and exit 1. *)
 let exit_on_build_failure cmd f =
   try f () with
   | Suu_algo.Solver.Unsupported msg ->
@@ -140,7 +141,8 @@ let exit_on_build_failure cmd f =
   | Suu_algo.Lp_relax.Lp_failure msg ->
       Printf.eprintf "suu %s: lp: %s\n" cmd msg;
       exit 1
-  | Suu_algo.Accum.Too_long msg ->
+  | Suu_algo.Accum.Too_long msg | Suu_algo.Fixed_assignment.Too_expensive msg
+    ->
       Printf.eprintf "suu %s: too expensive: %s\n" cmd msg;
       exit 1
 

@@ -6,22 +6,25 @@ let duration inst ~machine ~job =
   let p = Instance.prob inst ~machine ~job in
   if p > 0. then 1. /. p else infinity
 
+exception Too_expensive of string
+
 let assignment inst =
   let n = Instance.n inst and m = Instance.m inst in
-  let best j =
-    let d = ref infinity in
-    for i = 0 to m - 1 do
-      let di = duration inst ~machine:i ~job:j in
-      if di < !d then d := di
-    done;
-    !d
+  let best =
+    Array.init n (fun j ->
+        let d = ref infinity in
+        for i = 0 to m - 1 do
+          let di = duration inst ~machine:i ~job:j in
+          if di < !d then d := di
+        done;
+        !d)
   in
   (* LPT over best-case durations: placing the expensive jobs first keeps
      the greedy balance honest; ties break on job index. *)
   let order = Array.init n (fun j -> j) in
   Array.sort
     (fun j1 j2 ->
-      let c = compare (best j2) (best j1) in
+      let c = compare best.(j2) best.(j1) in
       if c <> 0 then c else compare j1 j2)
     order;
   let load = Array.make m 0. in
@@ -39,7 +42,15 @@ let assignment inst =
           end
         end
       done;
-      (* Instances guarantee every job is feasible on some machine. *)
+      (* Every job has a machine with p > 0, but 1/p or the load sum can
+         overflow: then no machine has a finite load to compare. *)
+      if !bi < 0 then
+        raise
+          (Too_expensive
+             (Printf.sprintf
+                "job %d has no machine with a finite expected load (best p \
+                 %g)"
+                j (Instance.best_prob inst j)));
       pinned.(j) <- !bi;
       load.(!bi) <- !bc)
     order;

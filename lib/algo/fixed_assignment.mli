@@ -14,10 +14,16 @@
     trial-lane kernel — and, because no job appears twice, each machine
     simply advances through its own queue as jobs finish. *)
 
+exception Too_expensive of string
+(** Raised by {!assignment} and {!policy} when a job has no machine with
+    a finite expected load: [1/p_ij] overflows on every machine (a [p]
+    near [1e-320]), or adds up to infinity on every loaded one. The
+    message names the job and its best [p]. *)
+
 val assignment : Suu_core.Instance.t -> int array
 (** [assignment inst] is the pinned machine of each job (index [j] holds
     the machine job [j] is dedicated to). Deterministic; every entry is
-    a machine with [p > 0] for that job. *)
+    a machine with [p > 0] for that job. Raises {!Too_expensive}. *)
 
 val policy : Suu_core.Instance.t -> Suu_core.Policy.t
 (** The fixed-assignment policy (named ["suu-fixed"], structure

@@ -19,29 +19,80 @@ type t = {
   dag : Suu_dag.Dag.t;
 }
 
+(* Pair [a] precedes pair [b] (flat indices [i * n + j]): p descending,
+   then index ascending — exactly the (machine, job) lexicographic
+   tie-break. The (p, index) keys are distinct, so the order is total.
+   Probabilities here are finite and positive, so [>] and [=] agree with
+   [Float.compare]. *)
+let[@inline] before (pflat : float array) (a : int) (b : int) =
+  let pa = pflat.(a) and pb = pflat.(b) in
+  pa > pb || (pa = pb && a < b)
+
+(* Bottom-up merge sort of [src] by [before], with [buf] (same length)
+   as the other half of the ping-pong: insertion-sorted runs of 8, then
+   doubling merges. Returns whichever of the two arrays holds the
+   result. The comparison is inlined: no closure, no allocation. *)
+let sort_pairs pflat src buf =
+  let k = Array.length src in
+  let run = 8 in
+  let lo = ref 0 in
+  while !lo < k do
+    let hi = min k (!lo + run) in
+    for i = !lo + 1 to hi - 1 do
+      let x = src.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && before pflat x src.(!j) do
+        src.(!j + 1) <- src.(!j);
+        decr j
+      done;
+      src.(!j + 1) <- x
+    done;
+    lo := hi
+  done;
+  let from = ref src and into = ref buf and width = ref run in
+  while !width < k do
+    let a = !from and d = !into in
+    let lo = ref 0 in
+    while !lo < k do
+      let mid = min k (!lo + !width) in
+      let hi = min k (mid + !width) in
+      let i = ref !lo and j = ref mid in
+      for o = !lo to hi - 1 do
+        if !j >= hi || (!i < mid && before pflat a.(!i) a.(!j)) then begin
+          d.(o) <- a.(!i);
+          incr i
+        end
+        else begin
+          d.(o) <- a.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    from := d;
+    into := a;
+    width := 2 * !width
+  done;
+  !from
+
 let build_sorted_pairs ~m ~n pflat =
   let count = ref 0 in
   Array.iter (fun pij -> if pij > 0. then incr count) pflat;
   let k = !count in
-  (* Sort pair indices (i * n + j); the index order is exactly the
-     (machine, job) lexicographic tie-break. *)
-  let idx = Array.make k 0 in
-  let w = ref 0 in
-  for flat = 0 to (m * n) - 1 do
-    if pflat.(flat) > 0. then begin
-      idx.(!w) <- flat;
-      incr w
-    end
-  done;
-  Array.sort
-    (fun a b ->
-      match Float.compare pflat.(b) pflat.(a) with
-      | 0 -> compare a b
-      | c -> c)
-    idx;
   let sorted_p = Array.make k 0. in
   let sorted_machine = Array.make k 0 in
   let sorted_job = Array.make k 0 in
+  (* The pair indices are sorted in [sorted_job], with [sorted_machine]
+     as the merge buffer; the final pass reads slot q of the result
+     before it overwrites slot q of either array. *)
+  let w = ref 0 in
+  for flat = 0 to (m * n) - 1 do
+    if pflat.(flat) > 0. then begin
+      sorted_job.(!w) <- flat;
+      incr w
+    end
+  done;
+  let idx = sort_pairs pflat sorted_job sorted_machine in
   for q = 0 to k - 1 do
     let flat = idx.(q) in
     sorted_p.(q) <- pflat.(flat);

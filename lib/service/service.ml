@@ -349,7 +349,9 @@ let build_policy ~policies ~kind instance =
     try Suu_algo.Solver.solve ~kind instance with
     | Suu_algo.Solver.Unsupported msg -> failed "unsupported: %s" msg
     | Suu_algo.Lp_relax.Lp_failure msg -> failed "lp: %s" msg
-    | Suu_algo.Accum.Too_long msg -> failed "too expensive: %s" msg
+    | Suu_algo.Accum.Too_long msg | Suu_algo.Fixed_assignment.Too_expensive msg
+      ->
+        failed "too expensive: %s" msg
   in
   match kind with
   | `Oblivious -> (

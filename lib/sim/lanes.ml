@@ -24,8 +24,9 @@ module Churn = Suu_dyn.Churn
      generalised) for the stragglers.
    - [Greedy]: greedy pair-scan regimens (MSM-ALG). The scan runs once
      per step across all lanes with word masks for machine-free /
-     job-eligible state and a per-lane mass ledger, fusing the Bernoulli
-     draw of each taken pair into the scan.
+     job-eligible state and a mass check over each job's per-step
+     contribution slots, fusing the Bernoulli draw of each taken pair
+     into the scan.
 
    The kernel is distribution-equivalent to the naive stepper, not
    stream-equivalent: masks draw from a private splitmix stream in a
@@ -211,6 +212,8 @@ type t = {
   contrib_p : float array;  (** per (job, slot) mass contribution; n * m *)
   contrib_w : int array;  (** per (job, slot) lanes of the contribution *)
   contrib_cnt : int array;  (** per job, live contribution slots *)
+  grp_w : int array;  (** mass-check lane groups: disjoint lane sets *)
+  grp_s : float array;  (** per group, its lanes' common mass sum *)
   pairs_idx : int array;  (** compacted surviving pair indices *)
   mutable pairs_len : int;
   remaining : int array;  (** per lane, ref-mode unfinished job count *)
@@ -360,6 +363,8 @@ let create ?releases ?availability inst policy =
           contrib_p = Array.make (if is_cols then 1 else max 1 (n * m)) 0.;
           contrib_w = Array.make (if is_cols then 1 else max 1 (n * m)) 0;
           contrib_cnt = Array.make (max n 1) 0;
+          grp_w = Array.make (if is_cols then 1 else lanes_per_word) 0;
+          grp_s = Array.make (if is_cols then 1 else lanes_per_word) 0.;
           pairs_idx = Array.make (max npairs 1) 0;
           pairs_len = 0;
           remaining = Array.make lanes_per_word 0;
@@ -749,6 +754,8 @@ let run_word_greedy t gk ~lanes ~max_steps ~makespans =
   and contrib_p = t.contrib_p
   and contrib_w = t.contrib_w
   and contrib_cnt = t.contrib_cnt
+  and grp_w = t.grp_w
+  and grp_s = t.grp_s
   and pairs = t.pairs_idx
   and rel_ok = t.rel_ok
   and mup = t.mup in
@@ -789,21 +796,34 @@ let run_word_greedy t gk ~lanes ~max_steps ~makespans =
               if hard <> 0 then begin
                 (* lanes where the job already has mass need the float
                    check; fresh lanes pass because p <= 1 <= cap. The
-                   mass of a lane is summed from this step's contribution
-                   slots — O(slots) per hard lane, no per-lane stores on
-                   the take path *)
+                   check runs once per group of lanes that share their
+                   contribution slots: one group (hard, p) splits on each
+                   slot's lane word, its covered part adding the slot's
+                   p. A lane's sum is p, then its slots in slot order —
+                   the same float additions a per-lane sum makes *)
                 let cbase = j * m in
-                let cc = contrib_cnt.(j) in
-                let h = ref hard in
-                while !h <> 0 do
-                  let b = !h land (- !h) in
-                  h := !h lxor b;
-                  let s = ref p in
-                  for c = 0 to cc - 1 do
-                    if contrib_w.(cbase + c) land b <> 0 then
-                      s := !s +. contrib_p.(cbase + c)
-                  done;
-                  if !s <= cap then take := !take lor b
+                grp_w.(0) <- hard;
+                grp_s.(0) <- p;
+                let ng = ref 1 in
+                for c = cbase to cbase + contrib_cnt.(j) - 1 do
+                  let cw = contrib_w.(c) and cp = contrib_p.(c) in
+                  for g = 0 to !ng - 1 do
+                    let w = grp_w.(g) in
+                    let inw = w land cw in
+                    if inw <> 0 then
+                      if inw = w then grp_s.(g) <- grp_s.(g) +. cp
+                      else begin
+                        (* groups stay disjoint and non-empty, so there
+                           are never more than 63 *)
+                        grp_w.(g) <- w lxor inw;
+                        grp_w.(!ng) <- inw;
+                        grp_s.(!ng) <- grp_s.(g) +. cp;
+                        incr ng
+                      end
+                  done
+                done;
+                for g = 0 to !ng - 1 do
+                  if grp_s.(g) <= cap then take := !take lor grp_w.(g)
                 done
               end;
               let tk = !take in

@@ -139,6 +139,39 @@ let test_sorted_pairs_race () =
       racers
   done
 
+(* The pair order before the inlined merge sort, kept as the oracle:
+   [Array.sort] with a closure comparator over the flat pair indices. *)
+let closure_sorted_pairs p =
+  let m = Array.length p and n = Array.length p.(0) in
+  let pflat = Array.init (m * n) (fun f -> p.(f / n).(f mod n)) in
+  let idx =
+    Array.of_list
+      (List.filter (fun f -> pflat.(f) > 0.) (List.init (m * n) Fun.id))
+  in
+  Array.sort
+    (fun a b ->
+      match Float.compare pflat.(b) pflat.(a) with
+      | 0 -> compare a b
+      | c -> c)
+    idx;
+  ( Array.map (fun f -> pflat.(f)) idx,
+    Array.map (fun f -> f / n) idx,
+    Array.map (fun f -> f mod n) idx )
+
+(* Four probability levels make ties common, so the index tie-break
+   decides much of the order. *)
+let prop_sorted_pairs_match_closure_sort =
+  QCheck.Test.make ~name:"sorted_pairs = closure-comparator sort" ~count:300
+    QCheck.(triple (int_range 1 16) (int_range 1 64) small_int)
+    (fun (m, n, seed) ->
+      let rng = Suu_prob.Rng.create seed in
+      let levels = [| 0.25; 0.5; 0.75; 1. |] in
+      let p =
+        Array.init m (fun _ ->
+            Array.init n (fun _ -> levels.(Suu_prob.Rng.int rng 4)))
+      in
+      Instance.sorted_pairs (Instance.independent ~p) = closure_sorted_pairs p)
+
 let () =
   Alcotest.run "instance"
     [
@@ -162,5 +195,6 @@ let () =
           Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "sorted_pairs first-use race" `Quick
             test_sorted_pairs_race;
+          QCheck_alcotest.to_alcotest prop_sorted_pairs_match_closure_sort;
         ] );
     ]
