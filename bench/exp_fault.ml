@@ -74,7 +74,7 @@ let run () =
           = count);
         let p95 =
           match m.Metrics.latency with
-          | Some l -> l.Metrics.p95_ms
+          | Some h -> Suu_obs.Histogram.quantile h 0.95
           | None -> Float.nan
         in
         (rate, elapsed, Float.of_int count /. elapsed, p95, m))

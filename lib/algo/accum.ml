@@ -63,22 +63,46 @@ let max_piece_words = 1 lsl 22
    until it reports success; a guess of O(n / p_min) always succeeds, so
    the cap below is a defensive backstop against broken callers. A tiny
    p_min can put that guess beyond any memory, so a guess whose piece
-   would exceed [max_piece_words] stops the search before it allocates. *)
-let doubling_guess inst ~t0 ~attempt =
+   would exceed [max_piece_words] stops the search before it allocates.
+
+   A length-t round gives job j at most t · total_rate j mass, so no
+   guess below [needed] (the largest (mass_target − 1e-12) / total_rate j
+   over the flagged jobs) can retire every job. When even the last guess
+   within the budget is below it (and below [hard_cap], so the search
+   would reach the budget, not the cap), every attempt is hopeless and
+   the search raises at once, with the message it would reach. The
+   1e-9 margin absorbs the allocator's float ledger. *)
+let doubling_guess inst ~jobs ~mass_target ~t0 ~attempt =
   let n = Instance.n inst and m = Instance.m inst in
   let pmin = Instance.p_min inst in
   let hard_cap =
     Float.to_int (Float.min 1e9 (16. *. Float.of_int n /. pmin)) + 2
   in
   let max_t = max_piece_words / (m + 2) in
+  let too_long t =
+    Too_long
+      (Printf.sprintf
+         "a %d-step guess at m=%d exceeds the %d-word schedule budget \
+          (p_min %g)"
+         t m max_piece_words pmin)
+  in
+  let needed = ref 0. in
+  Array.iteri
+    (fun j flagged ->
+      if flagged then
+        needed :=
+          Float.max !needed
+            ((mass_target -. 1e-12) /. Instance.total_rate inst j))
+    jobs;
+  let rec last_in_budget t =
+    if 2 * t > max_t then t else last_in_budget (2 * t)
+  in
+  (if t0 <= max_t then
+     let last = last_in_budget t0 in
+     if Float.of_int last *. (1. +. 1e-9) < !needed && last < hard_cap then
+       raise (too_long (2 * last)));
   let rec search t guesses =
-    if t > max_t then
-      raise
-        (Too_long
-           (Printf.sprintf
-              "a %d-step guess at m=%d exceeds the %d-word schedule \
-               budget (p_min %g)"
-              t m max_piece_words pmin));
+    if t > max_t then raise (too_long t);
     match attempt t with
     | Some result -> (result, t, guesses + 1)
     | None ->

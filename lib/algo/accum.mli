@@ -43,14 +43,21 @@ exception Too_long of string
 
 val doubling_guess :
   Suu_core.Instance.t ->
+  jobs:bool array ->
+  mass_target:float ->
   t0:int ->
   attempt:(int -> 'a option) ->
   'a * int * int
-(** [doubling_guess inst ~t0 ~attempt] tries [attempt t] at [t0], [2·t0],
+(** [doubling_guess inst ~jobs ~mass_target ~t0 ~attempt] tries
+    [attempt t] at [t0], [2·t0],
     [4·t0], … until it returns [Some result], and gives
     [(result, final_t, guesses)]. §3.2: a guess of O(n / p_min) always
     succeeds, so the search terminates; a defensive cap of that order
     turns a broken [attempt] into [Invalid_argument] instead of a hang.
     A tiny [p_min] can make that guess too long to hold in memory: a
     guess [t] with [t * (m + 2)] above the budget raises {!Too_long}
-    before [attempt t] runs. *)
+    before [attempt t] runs. [jobs] and [mass_target] are the ones
+    [attempt] accumulates with: a length-[t] round gives job [j] at most
+    [t · total_rate j] mass, so when every guess within the budget is
+    below [(mass_target − 1e-12) / total_rate j] for some flagged [j],
+    the same {!Too_long} is raised before any attempt runs. *)

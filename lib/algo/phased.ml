@@ -96,7 +96,10 @@ let core_for ?(params = tuned_params) inst ~jobs =
         in
         if o.Accum.deficient_count > 0 then None else Some o
       in
-      let o, final_t, _ = Accum.doubling_guess inst ~t0 ~attempt in
+      let o, final_t, _ =
+        Accum.doubling_guess inst ~jobs ~mass_target:params.mass_target ~t0
+          ~attempt
+      in
       (o.Accum.core, final_t)
     in
     let base_core, base_t = phase ~jobs ~t0:params.t0 in

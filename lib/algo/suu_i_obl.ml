@@ -50,7 +50,8 @@ let build ?(params = tuned_params) inst =
       if o.Accum.deficient_count > 0 then None else Some o
     in
     let o, final_t, guesses =
-      Accum.doubling_guess inst ~t0:params.t0 ~attempt
+      Accum.doubling_guess inst ~jobs ~mass_target:params.mass_target
+        ~t0:params.t0 ~attempt
     in
     { core = o.Accum.core; final_t; rounds_used = o.Accum.rounds; guesses }
   end

@@ -30,9 +30,7 @@ let create ~capacity =
     lock = Mutex.create ();
   }
 
-let with_lock c f =
-  Mutex.lock c.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
+let with_lock c f = Mutex.protect c.lock f
 
 let unlink c node =
   (match node.prev with

@@ -117,6 +117,10 @@ let fires spec site ~key =
 let attempt_key ~seq ~attempt = (seq * 0x3D) + attempt
 let jitter spec ~key = unit_float spec.seed 0x7ea1 key
 
+let backoff_s spec ~base_ms ~cap_ms ~key ~attempt =
+  let capped = Float.min (base_ms *. (2. ** float_of_int attempt)) cap_ms in
+  capped *. (0.5 +. jitter spec ~key) /. 1000.
+
 (* --- spec strings --- *)
 
 let of_string ?(default_seed = 1) text =

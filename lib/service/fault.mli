@@ -118,3 +118,14 @@ val attempt_key : seq:int -> attempt:int -> int
 val jitter : spec -> key:int -> float
 (** Deterministic uniform draw in [0, 1) for event [key] — the backoff
     jitter source, so even retry timing is reproducible under test. *)
+
+val backoff_s :
+  spec -> base_ms:float -> cap_ms:float -> key:int -> attempt:int -> float
+(** The one retry-pacing rule of the system, in seconds: capped
+    exponential backoff [c = min (base_ms · 2^attempt) cap_ms] times a
+    deterministic jitter factor, [c · (0.5 + jitter spec ~key)], so each
+    delay lands in [\[c/2, 3c/2)] and a chaos replay schedules the same
+    delays. Every caller keeps its own cap and key: the service's
+    transient retries and the coordinator's re-dispatches (50 ms, keyed
+    by {!attempt_key}), TCP reconnects (200 ms) and shard respawns
+    (500 ms). *)

@@ -37,9 +37,7 @@ let create () =
     lat = Histogram.create ();
   }
 
-let with_lock m f =
-  Mutex.lock m.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m.lock) f
+let with_lock m f = Mutex.protect m.lock f
 
 let record_ok m ~latency_ms =
   with_lock m (fun () ->
@@ -60,16 +58,6 @@ let record_restart m = with_lock m (fun () -> m.restarts <- m.restarts + 1)
 let record_retry m = with_lock m (fun () -> m.retries <- m.retries + 1)
 let record_degraded m = with_lock m (fun () -> m.degraded <- m.degraded + 1)
 
-type latency = {
-  count : int;
-  mean_ms : float;
-  min_ms : float;
-  max_ms : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-}
-
 type snapshot = {
   requests : int;
   ok : int;
@@ -81,27 +69,11 @@ type snapshot = {
   restarts : int;
   retries : int;
   degraded : int;
-  latency : latency option;
-  latency_hist : Histogram.t option;
+  latency : Histogram.t option;
 }
 
 let snapshot m =
   with_lock m (fun () ->
-      let latency, latency_hist =
-        if Histogram.count m.lat = 0 then (None, None)
-        else
-          ( Some
-              {
-                count = Histogram.count m.lat;
-                mean_ms = Histogram.mean m.lat;
-                min_ms = Histogram.min_value m.lat;
-                max_ms = Histogram.max_value m.lat;
-                p50_ms = Histogram.quantile m.lat 0.50;
-                p95_ms = Histogram.quantile m.lat 0.95;
-                p99_ms = Histogram.quantile m.lat 0.99;
-              },
-            Some (Histogram.copy m.lat) )
-      in
       {
         requests = m.ok + m.errors + m.timeouts + m.rejected;
         ok = m.ok;
@@ -113,6 +85,101 @@ let snapshot m =
         restarts = m.restarts;
         retries = m.retries;
         degraded = m.degraded;
-        latency;
-        latency_hist;
+        latency =
+          (if Histogram.count m.lat = 0 then None
+           else Some (Histogram.copy m.lat));
       })
+
+let latency_summary h =
+  [
+    ("min", Histogram.min_value h);
+    ("mean", Histogram.mean h);
+    ("p50", Histogram.quantile h 0.50);
+    ("p95", Histogram.quantile h 0.95);
+    ("p99", Histogram.quantile h 0.99);
+    ("max", Histogram.max_value h);
+  ]
+
+let latency_line h =
+  "latency ms:"
+  ^ String.concat ""
+      (List.map
+         (fun (name, v) -> Printf.sprintf " %s %.2f" name v)
+         (latency_summary h))
+
+let counters_to_json counters =
+  Json.Obj (List.map (fun (name, v) -> (name, Json.int v)) counters)
+
+let counters_of_json = function
+  | Json.Obj fields ->
+      List.filter_map
+        (fun (name, v) -> Option.map (fun n -> (name, n)) (Json.to_int v))
+        fields
+  | _ -> []
+
+(* --- histogram wire codec ---
+
+   Layout parameters plus the occupied buckets as [k, count] pairs.
+   Bucket counts are exact; [sum]/[min]/[max] round-trip through the
+   float codec (12 significant digits — telemetry precision). *)
+
+let hist_to_json h =
+  let s = Histogram.export h in
+  Json.Obj
+    [
+      ("lo", Json.Num s.Histogram.layout_lo);
+      ("growth", Json.Num s.Histogram.layout_growth);
+      ("buckets", Json.int s.Histogram.layout_buckets);
+      ( "counts",
+        Json.List
+          (List.map
+             (fun (k, c) -> Json.List [ Json.int k; Json.int c ])
+             s.Histogram.occupied) );
+      ("sum", Json.Num s.Histogram.total_sum);
+      ("min", Json.Num s.Histogram.observed_min);
+      ("max", Json.Num s.Histogram.observed_max);
+    ]
+
+let hist_of_json json =
+  let num name = Option.bind (Json.member name json) Json.to_num in
+  let int name = Option.bind (Json.member name json) Json.to_int in
+  let counts =
+    match Json.member "counts" json with
+    | Some (Json.List xs) ->
+        let pair = function
+          | Json.List [ k; c ] -> (
+              match (Json.to_int k, Json.to_int c) with
+              | Some k, Some c -> Some (k, c)
+              | _ -> None)
+          | _ -> None
+        in
+        let pairs = List.filter_map pair xs in
+        if List.length pairs = List.length xs then Some pairs else None
+    | _ -> None
+  in
+  match
+    (num "lo", num "growth", int "buckets", counts, num "sum", num "min",
+     num "max")
+  with
+  | ( Some layout_lo,
+      Some layout_growth,
+      Some layout_buckets,
+      Some occupied,
+      Some total_sum,
+      Some observed_min,
+      Some observed_max ) -> (
+      match
+        Histogram.import
+          {
+            Histogram.layout_lo;
+            layout_growth;
+            layout_buckets;
+            occupied;
+            total_sum;
+            observed_min;
+            observed_max;
+          }
+      with
+      | h -> Some h
+      | exception Invalid_argument _ -> None)
+  | _ -> None

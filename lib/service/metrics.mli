@@ -45,19 +45,6 @@ val record_degraded : t -> unit
 (** A request admitted with a degraded trial count because the queue
     depth had crossed the overload watermark. *)
 
-(** Latency figures over {e every} ok response of the run: [count],
-    [mean_ms], [min_ms] and [max_ms] are exact; the quantiles are
-    histogram estimates with bounded relative error. *)
-type latency = {
-  count : int;
-  mean_ms : float;
-  min_ms : float;
-  max_ms : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-}
-
 type snapshot = {
   requests : int;  (** ok + errors + timeouts + rejected *)
   ok : int;
@@ -69,10 +56,46 @@ type snapshot = {
   restarts : int;  (** replacement domains spawned by the supervisor *)
   retries : int;  (** total transient-failure retries across requests *)
   degraded : int;  (** requests admitted with a degraded trial count *)
-  latency : latency option;  (** [None] until the first ok *)
-  latency_hist : Suu_obs.Histogram.t option;
-      (** an independent copy of the full latency histogram, for bucketed
-          exposition (Prometheus); [None] until the first ok *)
+  latency : Suu_obs.Histogram.t option;
+      (** an independent copy of the ok-latency histogram, the one
+          source of every latency figure a server reports (summary,
+          Prometheus buckets, raw stats); [None] until the first ok *)
 }
 
 val snapshot : t -> snapshot
+
+val latency_summary : Suu_obs.Histogram.t -> (string * float) list
+(** [min], [mean], [p50], [p95], [p99] and [max] of a latency
+    histogram, in that order: [min], [mean] and [max] are exact, the
+    quantiles carry the layout's relative error. The [stats] JSON and
+    both servers' shutdown dumps print these. *)
+
+val latency_line : Suu_obs.Histogram.t -> string
+(** ["latency ms: min … mean … p50 … p95 … p99 … max …"], two decimals
+    each, no newline: the shutdown dumps' latency line. *)
+
+(** {2 Wire codecs}
+
+    The raw [stats] form the coordinator pulls from every shard and
+    merges. *)
+
+val counters_to_json : (string * int) list -> Json.t
+(** Named counters as one JSON object, in list order. *)
+
+val counters_of_json : Json.t -> (string * int) list
+(** The integer fields of a JSON object; anything else is skipped. *)
+
+(** {2 Histogram wire codec}
+
+    The raw [stats] form of a histogram, which the coordinator pulls from
+    every shard and merges: the layout, the occupied buckets as
+    [[k, count]] pairs, and [sum]/[min]/[max]. *)
+
+val hist_to_json : Suu_obs.Histogram.t -> Json.t
+(** Bucket counts are exact; [sum], [min] and [max] go through the float
+    codec (12 significant digits — telemetry precision). *)
+
+val hist_of_json : Json.t -> Suu_obs.Histogram.t option
+(** The inverse of {!hist_to_json}; [None] for a missing or ill-typed
+    field, or a layout or bucket list that {!Suu_obs.Histogram.import}
+    rejects. *)

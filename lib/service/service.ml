@@ -42,10 +42,6 @@ let default_config =
     tracer = Trace.disabled;
   }
 
-(* Backoff for attempt [k] is [retry_backoff_ms * 2^k], capped here so a
-   deep retry chain cannot hold a worker for seconds. *)
-let backoff_cap_ms = 50.
-
 type report = {
   metrics : Metrics.snapshot;
   cache_hits : int;
@@ -89,15 +85,9 @@ let report_to_string r =
          "faults: %d worker crashes, %d restarts, %d retries, %d degraded\n"
          m.Metrics.worker_crashes m.Metrics.restarts m.Metrics.retries
          m.Metrics.degraded);
-  (match m.Metrics.latency with
-  | None -> ()
-  | Some l ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "latency ms: min %.2f mean %.2f p50 %.2f p95 %.2f p99 %.2f max \
-            %.2f\n"
-           l.Metrics.min_ms l.Metrics.mean_ms l.Metrics.p50_ms
-           l.Metrics.p95_ms l.Metrics.p99_ms l.Metrics.max_ms));
+  Option.iter
+    (fun h -> Printf.bprintf buf "%s\n" (Metrics.latency_line h))
+    m.Metrics.latency;
   Buffer.contents buf
 
 (* Prometheus text exposition of a report: service counters, pool and
@@ -142,7 +132,7 @@ let report_to_prom ?workers r =
   @ (match workers with
     | None -> []
     | Some w -> [ g "suu_workers" "Configured worker domains." w ])
-  @ (match m.Metrics.latency_hist with
+  @ (match m.Metrics.latency with
     | None -> []
     | Some h ->
         [
@@ -161,16 +151,6 @@ module type TRANSPORT = sig
   val recv : unit -> string option
   val send : string -> unit
 end
-
-let stdio () : (module TRANSPORT) =
-  (module struct
-    let recv () = In_channel.input_line In_channel.stdin
-
-    let send line =
-      print_string line;
-      print_newline ();
-      flush stdout
-  end)
 
 (* Chaos at the transport seam: slow delivery and torn (truncated)
    lines, keyed by line number so a given workload is corrupted the
@@ -198,54 +178,6 @@ let wrap_transport fault (module T : TRANSPORT) : (module TRANSPORT) =
 
       let send = T.send
     end)
-
-(* --- ordered response emission ---
-
-   Workers finish out of order; responses must not. Each admitted line
-   gets a sequence number and finished responses park in [pending] until
-   every earlier response has been sent. Parked responses are thunks so
-   a response can be rendered at the moment it is next in line — the
-   stats request uses this to snapshot counters consistent with the
-   emitted stream. *)
-
-type emitter = {
-  elock : Mutex.t;
-  pending : (int, unit -> string) Hashtbl.t;
-  mutable next_seq : int;
-  send_line : string -> unit;
-}
-
-let emitter_create send_line =
-  {
-    elock = Mutex.create ();
-    pending = Hashtbl.create 16;
-    next_seq = 0;
-    send_line;
-  }
-
-let emit_lazy em seq make_line =
-  Mutex.lock em.elock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock em.elock)
-    (fun () ->
-      (* A sequence number already emitted is a stale duplicate (a
-         worker crashed after its response left): drop it rather than
-         park it forever. *)
-      if seq >= em.next_seq then begin
-        Hashtbl.replace em.pending seq make_line;
-        let rec flush () =
-          match Hashtbl.find_opt em.pending em.next_seq with
-          | Some make ->
-              Hashtbl.remove em.pending em.next_seq;
-              em.send_line (make ());
-              em.next_seq <- em.next_seq + 1;
-              flush ()
-          | None -> ()
-        in
-        flush ()
-      end)
-
-let emit em seq line = emit_lazy em seq (fun () -> line)
 
 (* --- request execution --- *)
 
@@ -446,47 +378,15 @@ let stats_fields r =
   in
   match m.Metrics.latency with
   | None -> base
-  | Some l ->
+  | Some h ->
       base
       @ [
           ( "latency_ms",
             Json.Obj
-              [
-                ("min", Json.Num l.Metrics.min_ms);
-                ("mean", Json.Num l.Metrics.mean_ms);
-                ("p50", Json.Num l.Metrics.p50_ms);
-                ("p95", Json.Num l.Metrics.p95_ms);
-                ("p99", Json.Num l.Metrics.p99_ms);
-                ("max", Json.Num l.Metrics.max_ms);
-              ] );
+              (List.map
+                 (fun (name, v) -> (name, Json.Num v))
+                 (Metrics.latency_summary h)) );
         ]
-
-(* Wire form of a histogram snapshot, for the coordinator's cross-shard
-   merge: layout parameters plus the occupied buckets as [k, count]
-   pairs. Bucket counts are exact; [sum]/[min]/[max] round-trip through
-   the float codec (12 significant digits — telemetry precision). *)
-let hist_json h =
-  let s = Suu_obs.Histogram.export h in
-  Json.Obj
-    [
-      ("lo", Json.Num s.Suu_obs.Histogram.layout_lo);
-      ("growth", Json.Num s.Suu_obs.Histogram.layout_growth);
-      ("buckets", Json.int s.Suu_obs.Histogram.layout_buckets);
-      ( "counts",
-        Json.List
-          (List.map
-             (fun (k, c) -> Json.List [ Json.int k; Json.int c ])
-             s.Suu_obs.Histogram.occupied) );
-      ("sum", Json.Num s.Suu_obs.Histogram.total_sum);
-      ("min", Json.Num s.Suu_obs.Histogram.observed_min);
-      ("max", Json.Num s.Suu_obs.Histogram.observed_max);
-    ]
-
-let engine_counters_json () =
-  Json.Obj
-    (List.map
-       (fun (name, v) -> (name, Json.int v))
-       (Suu_obs.Counters.snapshot Engine.counters))
 
 (* Degraded admission runs Monte-Carlo ops at a reduced trial count. The
    op is rewritten *before* the cache key is computed, so a degraded
@@ -504,13 +404,6 @@ let degrade_op cfg op =
     when r.trials > cfg.degrade_trials ->
       Request.Estimate { r with trials = cfg.degrade_trials }
   | op -> op
-
-(* Capped exponential backoff with deterministic jitter (from the fault
-   spec's seed, so chaos runs are reproducible end to end). *)
-let backoff_s cfg ~seq ~attempt =
-  let raw = cfg.retry_backoff_ms *. (2. ** float_of_int attempt) in
-  let jitter = Fault.jitter cfg.fault ~key:(Fault.attempt_key ~seq ~attempt) in
-  Float.min raw backoff_cap_ms *. (0.5 +. (0.5 *. jitter)) /. 1000.
 
 let handle_job cfg ~metrics ~cache ~policies ~queue ~em job =
   let { seq; admitted_at; degraded; req } = job in
@@ -533,15 +426,15 @@ let handle_job cfg ~metrics ~cache ~policies ~queue ~em job =
       if degraded then ("degraded", Json.Bool true) :: fields else fields
     in
     Metrics.record_ok metrics ~latency_ms:(now_ms () -. admitted_at);
-    emit em seq (Request.ok ~id fields)
+    Emitter.emit em seq (Request.ok ~id fields)
   in
   let finish_error ?reason msg =
     Metrics.record_error metrics;
-    emit em seq (Request.error ~id ?reason msg)
+    Emitter.emit em seq (Request.error ~id ?reason msg)
   in
   let finish_timeout () =
     Metrics.record_timeout metrics;
-    emit em seq
+    Emitter.emit em seq
       (Request.timeout ~id
          ~deadline_ms:(Option.value deadline_ms ~default:0.))
   in
@@ -553,7 +446,7 @@ let handle_job cfg ~metrics ~cache ~policies ~queue ~em job =
          its counts include every response that appears above it in the
          stream (responses record their metrics before they emit). *)
       Metrics.record_stats_request metrics;
-      emit_lazy em seq (fun () ->
+      Emitter.emit_lazy em seq (fun () ->
           let r = report_of ~metrics ~cache ~policies ~queue in
           match format with
           | `Json -> Request.ok ~id (stats_fields r)
@@ -568,16 +461,18 @@ let handle_job cfg ~metrics ~cache ~policies ~queue ~em job =
                  latency histogram and engine counters, which is what
                  the coordinator pulls from each shard. *)
               let hist =
-                match r.metrics.Metrics.latency_hist with
+                match r.metrics.Metrics.latency with
                 | None -> []
-                | Some h -> [ ("latency_hist", hist_json h) ]
+                | Some h -> [ ("latency_hist", Metrics.hist_to_json h) ]
               in
               Request.ok ~id
                 (stats_fields r
                 @ hist
                 @ [
                     ("workers", Json.int cfg.workers);
-                    ("engine", engine_counters_json ());
+                    ( "engine",
+                      Metrics.counters_to_json
+                        (Suu_obs.Counters.snapshot Engine.counters) );
                   ]))
   | _ ->
       if expired () then finish_timeout ()
@@ -645,7 +540,13 @@ let handle_job cfg ~metrics ~cache ~policies ~queue ~em job =
               | exception Fault.Transient_failure why ->
                   if k < cfg.retries && not (expired ()) then begin
                     Metrics.record_retry metrics;
-                    Unix.sleepf (backoff_s cfg ~seq ~attempt:k);
+                    (* Capped so a deep retry chain cannot hold a worker
+                       for seconds. *)
+                    Unix.sleepf
+                      (Fault.backoff_s cfg.fault ~base_ms:cfg.retry_backoff_ms
+                         ~cap_ms:50.
+                         ~key:(Fault.attempt_key ~seq ~attempt:k)
+                         ~attempt:k);
                     attempt (k + 1)
                   end
                   else
@@ -704,7 +605,7 @@ let serve cfg (module T0 : TRANSPORT) =
     end
   in
   let queue = Work_queue.create ~on_pop ~capacity:cfg.queue_capacity () in
-  let em = emitter_create T.send in
+  let em = Emitter.create T.send in
   let sup =
     {
       slock = Mutex.create ();
@@ -719,7 +620,7 @@ let serve cfg (module T0 : TRANSPORT) =
        if even the crash answer fails to emit, supervision (and the
        shutdown drain's no-hole guarantee) still proceed. *)
     try
-      emit em job.seq
+      Emitter.emit em job.seq
         (Request.error ~id:job.req.Request.id ~reason:"worker_crash"
            ("worker crashed: " ^ Printexc.to_string e))
     with _ -> ()
@@ -770,7 +671,7 @@ let serve cfg (module T0 : TRANSPORT) =
            with
            | Error (msg, id) ->
                Metrics.record_error metrics;
-               emit em s (Request.error ~id msg)
+               Emitter.emit em s (Request.error ~id msg)
            | Ok req ->
                let degraded =
                  match (cfg.degrade_watermark, req.Request.op) with
@@ -786,7 +687,7 @@ let serve cfg (module T0 : TRANSPORT) =
                end
                else begin
                  Metrics.record_rejected metrics;
-                 emit em s
+                 Emitter.emit em s
                    (Request.error ~id:req.Request.id ~reason:"queue_full"
                       (Printf.sprintf "queue full (capacity %d)"
                          cfg.queue_capacity))
@@ -818,7 +719,7 @@ let serve cfg (module T0 : TRANSPORT) =
     | None -> ()
     | Some job ->
         Metrics.record_error metrics;
-        emit em job.seq
+        Emitter.emit em job.seq
           (Request.error ~id:job.req.Request.id ~reason:"unavailable"
              "service unavailable (worker pool exhausted)");
         drain_unserved ()
@@ -826,18 +727,24 @@ let serve cfg (module T0 : TRANSPORT) =
   drain_unserved ();
   report_of ~metrics ~cache ~policies ~queue
 
-let run_lines cfg lines =
-  let input = ref lines in
-  let out = ref [] in
-  let module T = struct
-    let recv () =
-      match !input with
-      | [] -> None
-      | l :: tl ->
-          input := tl;
-          Some l
+let list_transport lines =
+  let input = ref lines and out = ref [] in
+  let transport =
+    (module struct
+      let recv () =
+        match !input with
+        | [] -> None
+        | l :: tl ->
+            input := tl;
+            Some l
 
-    let send line = out := line :: !out
-  end in
-  let report = serve cfg (module T : TRANSPORT) in
-  (List.rev !out, report)
+      (* Only the emitter sends, under its lock: no lock needed here. *)
+      let send line = out := line :: !out
+    end : TRANSPORT)
+  in
+  (transport, fun () -> List.rev !out)
+
+let run_lines cfg lines =
+  let transport, sent = list_transport lines in
+  let report = serve cfg transport in
+  (sent (), report)

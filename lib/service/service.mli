@@ -95,8 +95,9 @@ type config = {
           means a crashed worker is gone for good *)
   retries : int;  (** transient-failure retries per request *)
   retry_backoff_ms : float;
-      (** backoff before retry [k] is [retry_backoff_ms * 2^k] (capped
-          at 50 ms), times a deterministic jitter factor in [0.5, 1] *)
+      (** base of the retry backoff ({!Fault.backoff_s}, capped at 50 ms):
+          retry [k] waits [c = min (retry_backoff_ms * 2^k) 50] ms times a
+          deterministic jitter factor in [\[0.5, 1.5)] *)
   degrade_watermark : int option;
       (** queue depth at which new Monte-Carlo requests are admitted
           degraded; [None] disables degradation *)
@@ -159,7 +160,7 @@ val report_to_prom : ?workers:int -> report -> string
 (** The transport seam: the service core only ever sees a line source
     and a line sink, so a socket transport can be added without touching
     the service. [recv] is called from the reader domain only; [send] is
-    internally serialised, one call per response line. *)
+    called under the {!Emitter}'s lock, one call per response line. *)
 module type TRANSPORT = sig
   val recv : unit -> string option
   (** Next request line, [None] at end of input. *)
@@ -168,16 +169,18 @@ module type TRANSPORT = sig
   (** Emit one response line. *)
 end
 
-val stdio : unit -> (module TRANSPORT)
-(** Lines from stdin, responses to stdout (flushed per line) — the
-    [suu serve] transport. *)
-
 val serve : config -> (module TRANSPORT) -> report
 (** Run the service until the transport's input is exhausted, then drain
     the queue, join the workers (and any supervisor-spawned
     replacements) and return the final report. Every admitted request is
     answered exactly once, even if the whole worker pool crashed. *)
 
+val list_transport : string list -> (module TRANSPORT) * (unit -> string list)
+(** An in-memory transport that serves the given request lines, paired
+    with a reader of the response lines sent so far, in order. Its [send]
+    takes no lock of its own: both servers only send under their
+    {!Emitter}'s lock. *)
+
 val run_lines : config -> string list -> string list * report
-(** [serve] over an in-memory transport: feed request lines, collect
-    response lines (in request order). For tests and benchmarks. *)
+(** [serve] over {!list_transport}: feed request lines, collect response
+    lines (in request order). For tests and benchmarks. *)

@@ -20,9 +20,7 @@ let create ?(on_pop = fun () -> ()) ~capacity () =
     on_pop;
   }
 
-let with_lock q f =
-  Mutex.lock q.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock q.lock) f
+let with_lock q f = Mutex.protect q.lock f
 
 let push q x =
   with_lock q (fun () ->
@@ -52,6 +50,12 @@ let pop q =
 let close q =
   with_lock q (fun () ->
       q.closed <- true;
+      Condition.broadcast q.nonempty)
+
+let wreck q =
+  with_lock q (fun () ->
+      q.closed <- true;
+      Queue.clear q.buf;
       Condition.broadcast q.nonempty)
 
 let length q = with_lock q (fun () -> Queue.length q.buf)

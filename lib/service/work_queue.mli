@@ -9,7 +9,10 @@
     wedged reader.
 
     Consumers block on {!pop} until an item or shutdown arrives. All
-    operations are safe across OCaml 5 domains. *)
+    operations are safe across OCaml 5 domains.
+
+    With [capacity = max_int] it is also the unbounded blocking line
+    channel of the sharding layer's in-process workers. *)
 
 type 'a t
 
@@ -30,6 +33,11 @@ val pop : 'a t -> 'a option
 val close : 'a t -> unit
 (** Reject further [push]es and wake all blocked consumers; items already
     queued are still delivered. Idempotent. *)
+
+val wreck : 'a t -> unit
+(** {!close}, and drop every queued item: blocked and later consumers
+    see [None] at once. Models abrupt loss (an in-process shard's
+    channels when it is killed). Idempotent. *)
 
 val length : 'a t -> int
 (** Current depth (racy under concurrency; exact when quiescent). *)

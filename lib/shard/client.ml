@@ -1,6 +1,7 @@
 module Service = Suu_service.Service
 module Fault = Suu_service.Fault
 module Tcp = Suu_service.Tcp
+module Work_queue = Suu_service.Work_queue
 
 (* A peer is the raw line pipe to one worker: the client layer above it
    only ever needs these five operations, so subprocess workers,
@@ -22,11 +23,10 @@ type t = {
          callback FIFO order always matches the line order on the
          pipe — the worker answers in request order, so FIFO popping
          pairs every response with its request *)
-  qlock : Mutex.t;  (* guards pending / alive / inflight; never held
-                       across a blocking pipe operation *)
+  qlock : Mutex.t;  (* guards pending / alive; never held across a
+                       blocking pipe operation *)
   pending : (string option -> unit) Queue.t;
   mutable alive : bool;
-  mutable inflight : int;
   mutable reader : unit Domain.t option;
 }
 
@@ -37,12 +37,6 @@ let alive t =
   let a = t.alive in
   Mutex.unlock t.qlock;
   a
-
-let inflight t =
-  Mutex.lock t.qlock;
-  let n = t.inflight in
-  Mutex.unlock t.qlock;
-  n
 
 (* The reader: pops the oldest callback for each response line; on EOF
    (worker exit, kill, or torn pipe) marks the client dead and drains
@@ -57,13 +51,7 @@ let reader_loop t =
     with
     | Some line ->
         Mutex.lock t.qlock;
-        let cb =
-          if Queue.is_empty t.pending then None
-          else begin
-            t.inflight <- t.inflight - 1;
-            Some (Queue.pop t.pending)
-          end
-        in
+        let cb = Queue.take_opt t.pending in
         Mutex.unlock t.qlock;
         (match cb with Some f -> f (Some line) | None -> ());
         loop ()
@@ -72,7 +60,6 @@ let reader_loop t =
         t.alive <- false;
         let orphans = Queue.fold (fun acc f -> f :: acc) [] t.pending in
         Queue.clear t.pending;
-        t.inflight <- 0;
         Mutex.unlock t.qlock;
         List.iter (fun f -> f None) (List.rev orphans)
   in
@@ -87,7 +74,6 @@ let custom ~id peer =
       qlock = Mutex.create ();
       pending = Queue.create ();
       alive = true;
-      inflight = 0;
       reader = None;
     }
   in
@@ -100,7 +86,6 @@ let submit t line cb =
   let admitted =
     if t.alive then begin
       Queue.push cb t.pending;
-      t.inflight <- t.inflight + 1;
       true
     end
     else false
@@ -218,12 +203,6 @@ let tcp_connect ~connect_timeout_s ~read_timeout_s addrtext =
          (try Unix.close fd with Unix.Unix_error _ -> ());
          raise e)
 
-let tcp_backoff ~backoff_ms ~fault ~epoch ~attempt =
-  let base = backoff_ms *. (2. ** float_of_int (attempt - 1)) in
-  let capped = Float.min base 200. in
-  let j = Fault.jitter fault ~key:((epoch * 97) + attempt) in
-  Unix.sleepf (capped *. (0.5 +. j) /. 1000.)
-
 let tcp_peer ?(connect_timeout_s = 1.0) ?(read_timeout_s = 0.)
     ?(reconnects = 3) ?(backoff_ms = 5.) ?(fault = Fault.none) ?kill_pid
     ?(reap_extra = fun () -> ()) ~addr () =
@@ -294,7 +273,11 @@ let tcp_peer ?(connect_timeout_s = 1.0) ?(read_timeout_s = 0.)
       let epoch = st.conn_epoch in
       let attempt = reconnects - st.reconnects_left in
       Mutex.unlock st.pm;
-      tcp_backoff ~backoff_ms ~fault ~epoch ~attempt;
+      (* [attempt] counts from 1: the first reconnect waits the base. *)
+      Unix.sleepf
+        (Fault.backoff_s fault ~base_ms:backoff_ms ~cap_ms:200.
+           ~key:((epoch * 97) + attempt)
+           ~attempt:(attempt - 1));
       match connect () with
       | exception (Unix.Unix_error _ | Sys_error _ | Failure _) ->
           reconnect old
@@ -443,71 +426,33 @@ let tcp_process ~id ?connect_timeout_s ?read_timeout_s ?reconnects
 
 (* -- in-process workers ------------------------------------------------ *)
 
-(* Unbounded blocking string channel; [close] lets readers drain what
-   is queued, [wreck] also drops it (abrupt loss). *)
-type chan = {
-  m : Mutex.t;
-  cv : Condition.t;
-  q : string Queue.t;
-  mutable closed : bool;
-}
-
-let chan () =
-  { m = Mutex.create (); cv = Condition.create (); q = Queue.create (); closed = false }
-
-let chan_push ch l =
-  Mutex.lock ch.m;
-  if not ch.closed then begin
-    Queue.push l ch.q;
-    Condition.signal ch.cv
-  end;
-  Mutex.unlock ch.m
-
-let chan_pop ch =
-  Mutex.lock ch.m;
-  while Queue.is_empty ch.q && not ch.closed do
-    Condition.wait ch.cv ch.m
-  done;
-  let r = if Queue.is_empty ch.q then None else Some (Queue.pop ch.q) in
-  Mutex.unlock ch.m;
-  r
-
-let chan_close ch =
-  Mutex.lock ch.m;
-  ch.closed <- true;
-  Condition.broadcast ch.cv;
-  Mutex.unlock ch.m
-
-let chan_wreck ch =
-  Mutex.lock ch.m;
-  ch.closed <- true;
-  Queue.clear ch.q;
-  Condition.broadcast ch.cv;
-  Mutex.unlock ch.m
-
+(* Two unbounded line queues: closing one lets its reader drain what is
+   queued; wrecking it also drops that (abrupt loss). *)
 let local ~id cfg =
+  let chan () = Work_queue.create ~capacity:max_int () in
   let inq = chan () and outq = chan () in
+  let push q l = ignore (Work_queue.push q l) in
   let svc =
     Domain.spawn (fun () ->
         let transport =
           (module struct
-            let recv () = chan_pop inq
-            let send l = chan_push outq l
+            let recv () = Work_queue.pop inq
+            let send l = push outq l
           end : Service.TRANSPORT)
         in
         (try ignore (Service.serve cfg transport) with _ -> ());
-        chan_close outq)
+        Work_queue.close outq)
   in
   let joined = ref false in
   custom ~id
     {
-      send_line = (fun l -> chan_push inq l);
-      recv_line = (fun () -> chan_pop outq);
+      send_line = push inq;
+      recv_line = (fun () -> Work_queue.pop outq);
       kill_peer =
         (fun () ->
-          chan_wreck inq;
-          chan_wreck outq);
-      close_input = (fun () -> chan_close inq);
+          Work_queue.wreck inq;
+          Work_queue.wreck outq);
+      close_input = (fun () -> Work_queue.close inq);
       reap =
         (fun () ->
           if not !joined then begin

@@ -59,8 +59,8 @@ val tcp_peer :
     on failure, which callers treat as a failed spawn. On a torn,
     reset or (with [read_timeout_s > 0]) timed-out connection while
     answers are owed, the reader shuts the socket down, backs off
-    (capped exponential on [backoff_ms] with deterministic
-    {!Suu_service.Fault.jitter}), dials again and replays every
+    ({!Suu_service.Fault.backoff_s} on base [backoff_ms], capped at
+    200 ms), dials again and replays every
     unanswered request line in order — idempotent because workers
     recompute deterministically from the request line. After
     [reconnects] {e consecutive} cycles without a single delivered
@@ -120,9 +120,6 @@ val submit : t -> string -> (string option -> unit) -> bool
 val alive : t -> bool
 (** [false] once the reader has seen EOF. A [true] answer is advisory —
     the worker can die between the check and a submit. *)
-
-val inflight : t -> int
-(** Submitted lines whose callbacks have not fired yet. *)
 
 val kill : t -> unit
 (** Abrupt worker loss (SIGKILL / wrecked channels / torn socket). The

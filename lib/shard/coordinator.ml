@@ -3,9 +3,9 @@ module Request = Suu_service.Request
 module Json = Suu_service.Json
 module Fault = Suu_service.Fault
 module Metrics = Suu_service.Metrics
+module Emitter = Suu_service.Emitter
 module Trace = Suu_obs.Trace
 module Prom = Suu_obs.Prom
-module Histogram = Suu_obs.Histogram
 
 let now_ms = Suu_obs.Clock.now_ms
 
@@ -56,40 +56,6 @@ type report = {
   fenced : int;
 }
 
-(* Ordered emission, same discipline as the service's emitter: park
-   out-of-order responses, flush in sequence, render lazily so a stats
-   response snapshots counters at its stream position. *)
-type emitter = {
-  elock : Mutex.t;
-  parked : (int, unit -> string) Hashtbl.t;
-  mutable next_seq : int;
-  send_line : string -> unit;
-}
-
-let emitter_create send_line =
-  { elock = Mutex.create (); parked = Hashtbl.create 16; next_seq = 0; send_line }
-
-let emit_lazy em seq make_line =
-  Mutex.lock em.elock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock em.elock)
-    (fun () ->
-      if seq >= em.next_seq then begin
-        Hashtbl.replace em.parked seq make_line;
-        let rec flush () =
-          match Hashtbl.find_opt em.parked em.next_seq with
-          | Some make ->
-              Hashtbl.remove em.parked em.next_seq;
-              em.send_line (make ());
-              em.next_seq <- em.next_seq + 1;
-              flush ()
-          | None -> ()
-        in
-        flush ()
-      end)
-
-let emit em seq line = emit_lazy em seq (fun () -> line)
-
 (* --- jobs ------------------------------------------------------------- *)
 
 type fwd = {
@@ -123,7 +89,7 @@ type t = {
   cfg : config;
   ring : Ring.t;
   sup : Supervisor.t;
-  em : emitter;
+  em : Emitter.t;
   metrics : Metrics.t;
   lock : Mutex.t;
   done_cv : Condition.t;
@@ -200,25 +166,8 @@ let coord_stats_fields t telemetry =
   @ coord_counter_fields t
   @ [
       ("shard_epochs", Json.List epochs);
-      ("shard", Json.Obj (List.map (fun (n, v) -> (n, Json.int v)) telemetry.Merge.service));
-      ("engine", Json.Obj (List.map (fun (n, v) -> (n, Json.int v)) telemetry.Merge.engine));
-    ]
-
-let hist_snapshot_json h =
-  let s = Histogram.export h in
-  Json.Obj
-    [
-      ("lo", Json.Num s.Histogram.layout_lo);
-      ("growth", Json.Num s.Histogram.layout_growth);
-      ("buckets", Json.int s.Histogram.layout_buckets);
-      ( "counts",
-        Json.List
-          (List.map
-             (fun (k, c) -> Json.List [ Json.int k; Json.int c ])
-             s.Histogram.occupied) );
-      ("sum", Json.Num s.Histogram.total_sum);
-      ("min", Json.Num s.Histogram.observed_min);
-      ("max", Json.Num s.Histogram.observed_max);
+      ("shard", Metrics.counters_to_json telemetry.Merge.service);
+      ("engine", Metrics.counters_to_json telemetry.Merge.engine);
     ]
 
 (* One exposition for the whole deployment: the coordinator's own
@@ -269,7 +218,7 @@ let prom_exposition t telemetry =
             the epoch it was dispatched under."
          ~ty:`Gauge epoch_rows;
      ]
-    @ (match m.Metrics.latency_hist with
+    @ (match m.Metrics.latency with
       | None -> []
       | Some h ->
           [
@@ -301,7 +250,7 @@ let prom_exposition t telemetry =
         telemetry.Merge.engine)
 
 let finalize_stats_locked t st =
-  emit_lazy t.em st.tseq (fun () ->
+  Emitter.emit_lazy t.em st.tseq (fun () ->
       let telemetry = Merge.telemetry_of_responses st.replies in
       match st.tformat with
       | `Prom ->
@@ -312,7 +261,7 @@ let finalize_stats_locked t st =
           let hist =
             match telemetry.Merge.latency with
             | None -> []
-            | Some h -> [ ("latency_hist", hist_snapshot_json h) ]
+            | Some h -> [ ("latency_hist", Metrics.hist_to_json h) ]
           in
           Request.ok ~id:st.tid (coord_stats_fields t telemetry @ hist));
   request_done_locked t
@@ -326,7 +275,7 @@ let stat_settled_locked t st =
 
 let fwd_fail t fwd ~reason msg =
   Metrics.record_error t.metrics;
-  emit t.em fwd.fseq (Request.error ~id:fwd.fid ~reason msg);
+  Emitter.emit t.em fwd.fseq (Request.error ~id:fwd.fid ~reason msg);
   request_done t
 
 let record_forward_outcome t fwd line =
@@ -385,27 +334,23 @@ let rec dispatch_forward t fwd =
         Client.submit c fwd.fline (fun resp ->
             on_forward_reply t fwd i epoch ticket resp)
       in
-      if not submitted then
-        (* Never sent: take the ticket back ourselves — but only if we
-           win the claim. A concurrent fence may have reclaimed and
-           re-dispatched this work already; retrying on top of that
-           would answer the request twice. *)
-        if claim t i ticket ~answered:false then begin
-          handle_shard_loss t i ~epoch;
-          retry_forward t fwd
-        end
-        else handle_shard_loss t i ~epoch
+      (* Never sent: the same as a loss before the answer. *)
+      if not submitted then on_forward_reply t fwd i epoch ticket None
 
 and on_forward_reply t fwd i epoch ticket = function
   | Some line ->
       if claim t i ticket ~answered:true then begin
         record_forward_outcome t fwd line;
-        emit t.em fwd.fseq line;
+        Emitter.emit t.em fwd.fseq line;
         request_done t
       end
       (* else: fenced zombie answer — the work was re-dispatched; this
          late line must not reach the emitter a second time *)
   | None ->
+      (* Take the ticket back ourselves — but only if we win the claim.
+         A concurrent fence may have reclaimed and re-dispatched this
+         work already; retrying on top of that would answer the request
+         twice. *)
       if claim t i ticket ~answered:false then begin
         handle_shard_loss t i ~epoch;
         retry_forward t fwd
@@ -420,8 +365,9 @@ and retry_forward t fwd =
     fwd.fattempts <- attempt + 1;
     Metrics.record_retry t.metrics;
     Unix.sleepf
-      (Dispatch.backoff_s ~base_ms:t.cfg.retry_backoff_ms ~fault:t.cfg.fault
-         ~key:fwd.fseq ~attempt);
+      (Fault.backoff_s t.cfg.fault ~base_ms:t.cfg.retry_backoff_ms ~cap_ms:50.
+         ~key:(Fault.attempt_key ~seq:fwd.fseq ~attempt)
+         ~attempt);
     dispatch_forward t fwd
   end
 
@@ -514,18 +460,8 @@ let admit_stats t seq req format =
   Mutex.unlock t.lock;
   List.iter
     (fun (i, c, epoch, ticket) ->
-      if
-        not
-          (Client.submit c stats_pull_line (fun r ->
-               on_stats_reply t st i epoch ticket r))
-      then
-        if claim t i ticket ~answered:false then begin
-          Mutex.lock t.lock;
-          stat_settled_locked t st;
-          Mutex.unlock t.lock;
-          handle_shard_loss t i ~epoch
-        end
-        else handle_shard_loss t i ~epoch)
+      let reply = on_stats_reply t st i epoch ticket in
+      if not (Client.submit c stats_pull_line reply) then reply None)
     targets
 
 (* --- admission -------------------------------------------------------- *)
@@ -558,14 +494,14 @@ let admit t seq line =
       with
       | Error (msg, id) ->
           Metrics.record_error t.metrics;
-          emit t.em seq (Request.error ~id msg)
+          Emitter.emit t.em seq (Request.error ~id msg)
       | Ok req -> (
           match req.Request.op with
           | Request.Ping ->
               (* Answered at the coordinator: a pong vouches for the
                  routing layer; shard liveness is the heartbeat's job. *)
               Metrics.record_ok t.metrics ~latency_ms:0.;
-              emit t.em seq
+              Emitter.emit t.em seq
                 (Request.ok ~id:req.Request.id
                    [
                      ("pong", Json.Bool true);
@@ -663,7 +599,7 @@ let serve cfg ~spawn transport =
       cfg;
       ring = Ring.create ~replicas:cfg.replicas (List.init cfg.shards Fun.id);
       sup;
-      em = emitter_create T.send;
+      em = Emitter.create T.send;
       metrics = Metrics.create ();
       lock = Mutex.create ();
       done_cv = Condition.create ();
@@ -724,26 +660,9 @@ let serve cfg ~spawn transport =
   }
 
 let run_lines cfg ~spawn lines =
-  let remaining = ref lines in
-  let out = ref [] in
-  let olock = Mutex.create () in
-  let transport =
-    (module struct
-      let recv () =
-        match !remaining with
-        | [] -> None
-        | l :: tl ->
-            remaining := tl;
-            Some l
-
-      let send l =
-        Mutex.lock olock;
-        out := l :: !out;
-        Mutex.unlock olock
-    end : Service.TRANSPORT)
-  in
+  let transport, sent = Service.list_transport lines in
   let r = serve cfg ~spawn transport in
-  (List.rev !out, r)
+  (sent (), r)
 
 let report_to_string (r : report) =
   let m = r.metrics in
@@ -760,10 +679,7 @@ let report_to_string (r : report) =
   (if r.suspects > 0 || r.fenced > 0 then
      Printf.bprintf b "\nsupervision: %d suspect transitions, %d fenced replies"
        r.suspects r.fenced);
-  (match m.Metrics.latency with
-  | None -> ()
-  | Some l ->
-      Printf.bprintf b
-        "\nlatency ms: p50 %.2f  p95 %.2f  max %.2f  (%d responses)"
-        l.Metrics.p50_ms l.Metrics.p95_ms l.Metrics.max_ms l.Metrics.count);
+  Option.iter
+    (fun h -> Printf.bprintf b "\n%s" (Metrics.latency_line h))
+    m.Metrics.latency;
   Buffer.contents b

@@ -33,7 +33,7 @@
     first. The loss is routed through the {!Supervisor}: the slot is
     {e fenced} (its epoch bumped), every request in flight there is
     reclaimed by ticket and re-dispatched to survivors (up to [retries]
-    times each with capped deterministic backoff), and the
+    times each, paced by {!Suu_service.Fault.backoff_s}), and the
     zombie's late answers — arriving after the fence — find their
     tickets gone and are discarded (counted as [fenced]). With
     [respawn_budget > 0] the supervisor then respawns the shard after a
@@ -69,7 +69,9 @@ type config = {
   shards : int;  (** worker shards to spawn (>= 1) *)
   replicas : int;  (** ring virtual nodes per shard *)
   retries : int;  (** re-dispatches per request after shard loss *)
-  retry_backoff_ms : float;  (** re-dispatch backoff base (capped at 50 ms) *)
+  retry_backoff_ms : float;
+      (** re-dispatch backoff base ({!Suu_service.Fault.backoff_s},
+          capped at 50 ms) *)
   heartbeat_ms : float option;  (** ping period; [None] disables *)
   suspect_after : int;
       (** consecutive missed beats before a shard turns suspect *)

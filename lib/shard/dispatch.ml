@@ -21,15 +21,3 @@ let plan ~trials ~chunk =
       go hi ((lo, hi) :: acc)
   in
   go 0 []
-
-(* Same shape as the service's transient-retry backoff: capped
-   exponential with deterministic jitter from the fault spec's seed. *)
-let backoff_cap_ms = 50.
-
-let backoff_s ~base_ms ~fault ~key ~attempt =
-  let raw = base_ms *. (2. ** float_of_int attempt) in
-  let jitter =
-    Suu_service.Fault.jitter fault
-      ~key:(Suu_service.Fault.attempt_key ~seq:key ~attempt)
-  in
-  Float.min raw backoff_cap_ms *. (0.5 +. (0.5 *. jitter)) /. 1000.

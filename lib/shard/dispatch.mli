@@ -1,13 +1,12 @@
-(** Trial-range planning and retry pacing — pure arithmetic, unit-tested
-    exhaustively.
+(** Trial-range planning — pure arithmetic, unit-tested exhaustively.
 
-    {!plan} and {!auto_chunk} are client-side helpers for the ["range"]
+    This module holds only the client-side helpers of the ["range"]
     protocol: a client that wants one estimate fanned out over several
-    servers cuts it into word-aligned ranges with them, sends one
-    {!Suu_service.Request.sub_line} per range, and merges the partial
-    answers with {!Merge}. The coordinator itself routes every request
-    whole; it uses only {!backoff_s}, to pace re-dispatches after shard
-    loss. *)
+    servers cuts it into word-aligned ranges with {!plan} and
+    {!auto_chunk}, sends one {!Suu_service.Request.sub_line} per range,
+    and merges the partial answers with {!Merge}. The coordinator routes
+    every request whole and uses none of it; its re-dispatch pacing is
+    {!Suu_service.Fault.backoff_s}. *)
 
 val plan : trials:int -> chunk:int -> (int * int) list
 (** Contiguous half-open ranges [(lo, hi)] of width at most [chunk]
@@ -23,8 +22,3 @@ val auto_chunk : trials:int -> shards:int -> int
     whole words (at least one), so a client's ranges can rebalance
     around a slow or dying server.
     @raise Invalid_argument when [trials < 1] or [shards < 1]. *)
-
-val backoff_s : base_ms:float -> fault:Suu_service.Fault.spec -> key:int -> attempt:int -> float
-(** Capped exponential backoff (cap 50 ms) with deterministic jitter in
-    [0.5, 1] drawn from the fault spec's seed — the same discipline as
-    the service's transient retries, so chaos runs reproduce. *)

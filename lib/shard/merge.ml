@@ -105,58 +105,6 @@ let merged_fields ~max_steps parts =
 
 (* --- raw-stats telemetry ---------------------------------------------- *)
 
-let hist_of_json json =
-  let num name = Option.bind (Json.member name json) Json.to_num in
-  let int name = Option.bind (Json.member name json) Json.to_int in
-  let counts =
-    match Json.member "counts" json with
-    | Some (Json.List xs) ->
-        let pair = function
-          | Json.List [ k; c ] -> (
-              match (Json.to_int k, Json.to_int c) with
-              | Some k, Some c -> Some (k, c)
-              | _ -> None)
-          | _ -> None
-        in
-        let pairs = List.filter_map pair xs in
-        if List.length pairs = List.length xs then Some pairs else None
-    | _ -> None
-  in
-  match
-    (num "lo", num "growth", int "buckets", counts, num "sum", num "min",
-     num "max")
-  with
-  | ( Some layout_lo,
-      Some layout_growth,
-      Some layout_buckets,
-      Some occupied,
-      Some total_sum,
-      Some observed_min,
-      Some observed_max ) -> (
-      match
-        Histogram.import
-          {
-            Histogram.layout_lo;
-            layout_growth;
-            layout_buckets;
-            occupied;
-            total_sum;
-            observed_min;
-            observed_max;
-          }
-      with
-      | h -> Some h
-      | exception Invalid_argument _ -> None)
-  | _ -> None
-
-let counters_of_json = function
-  | Json.Obj fields ->
-      List.filter_map
-        (fun (name, v) ->
-          match Json.to_int v with Some n -> Some (name, n) | None -> None)
-        fields
-  | _ -> []
-
 (* The service counter fields a raw stats response carries, in the
    order the merged exposition reports them. *)
 let counter_names =
@@ -191,13 +139,16 @@ let telemetry_of_responses lines =
     List.map
       (fun json ->
         match Json.member "engine" json with
-        | Some obj -> counters_of_json obj
+        | Some obj -> Suu_service.Metrics.counters_of_json obj
         | None -> [])
       jsons
   in
   let hists =
     List.filter_map
-      (fun json -> Option.bind (Json.member "latency_hist" json) hist_of_json)
+      (fun json ->
+        Option.bind
+          (Json.member "latency_hist" json)
+          Suu_service.Metrics.hist_of_json)
       jsons
   in
   {

@@ -26,13 +26,6 @@ module Fault = Suu_service.Fault
 
 type state = Healthy | Suspect | Dead | Respawning | Rejoined
 
-let state_name = function
-  | Healthy -> "healthy"
-  | Suspect -> "suspect"
-  | Dead -> "dead"
-  | Respawning -> "respawning"
-  | Rejoined -> "rejoined"
-
 (* Routable = requests may be dispatched there. Suspicion is a hunch,
    not a verdict: a Suspect shard keeps serving until beats confirm
    death, and a Rejoined shard serves immediately. *)
@@ -95,19 +88,16 @@ let create cfg ~spawn =
     suspects_total = 0;
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock t f = Mutex.protect t.lock f
 
 let shards t = t.cfg.shards
 
-(* Capped exponential with deterministic jitter, keyed by (shard,
-   attempt) so a chaos replay schedules the same delays. *)
+(* Keyed by (shard, attempt) so a chaos replay schedules the same
+   delays. *)
 let backoff_s cfg ~sid ~attempt =
-  let base = cfg.respawn_backoff_ms *. (2. ** float_of_int attempt) in
-  let capped = Float.min base 500. in
-  let j = Fault.jitter cfg.fault ~key:(0x5A5A + (sid * 131) + attempt) in
-  capped *. (0.5 +. j) /. 1000.
+  Fault.backoff_s cfg.fault ~base_ms:cfg.respawn_backoff_ms ~cap_ms:500.
+    ~key:(0x5A5A + (sid * 131) + attempt)
+    ~attempt
 
 (* --- routing queries --------------------------------------------------- *)
 

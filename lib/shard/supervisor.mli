@@ -26,7 +26,6 @@
 
 type state = Healthy | Suspect | Dead | Respawning | Rejoined
 
-val state_name : state -> string
 val routable_state : state -> bool
 (** [Healthy], [Suspect] and [Rejoined] are routable: suspicion is a
     hunch, not a verdict, and a rejoined shard serves immediately. *)

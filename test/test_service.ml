@@ -7,6 +7,9 @@ module Work_queue = Suu_service.Work_queue
 module Request = Suu_service.Request
 module Service = Suu_service.Service
 module Fault = Suu_service.Fault
+module Metrics = Suu_service.Metrics
+module Emitter = Suu_service.Emitter
+module Histogram = Suu_obs.Histogram
 module Instance = Suu_core.Instance
 
 (* The chaos tests' structural assertions (every request answered
@@ -155,7 +158,13 @@ let test_queue_close_drains () =
   Alcotest.(check bool) "closed rejects" false (Work_queue.push q 3);
   Alcotest.(check (option int)) "drains 1" (Some 1) (Work_queue.pop q);
   Alcotest.(check (option int)) "drains 2" (Some 2) (Work_queue.pop q);
-  Alcotest.(check (option int)) "then None" None (Work_queue.pop q)
+  Alcotest.(check (option int)) "then None" None (Work_queue.pop q);
+  (* Wrecking closes and drops what is queued: abrupt loss. *)
+  let q = Work_queue.create ~capacity:max_int () in
+  ignore (Work_queue.push q 1 : bool);
+  Work_queue.wreck q;
+  Alcotest.(check bool) "wrecked rejects" false (Work_queue.push q 2);
+  Alcotest.(check (option int)) "wrecked drops" None (Work_queue.pop q)
 
 let test_queue_cross_domain () =
   let q = Work_queue.create ~capacity:8 () in
@@ -1092,7 +1101,6 @@ let test_service_answers_are_json () =
     (Option.map Json.to_string (field "bounds" (List.nth out 1)))
 
 let test_metrics_latency_bounded () =
-  let module Metrics = Suu_service.Metrics in
   let m = Metrics.create () in
   let n = 3000 in
   for i = 1 to n do
@@ -1100,14 +1108,15 @@ let test_metrics_latency_bounded () =
   done;
   match (Metrics.snapshot m).Metrics.latency with
   | None -> Alcotest.fail "expected latency figures"
-  | Some l ->
-      Alcotest.(check int) "counts every ok" n l.Metrics.count;
+  | Some h ->
+      let figure name = List.assoc name (Metrics.latency_summary h) in
+      Alcotest.(check int) "counts every ok" n (Histogram.count h);
       Alcotest.(check (float 1e-9)) "running mean over all samples"
         (float_of_int (n + 1) /. 2.)
-        l.Metrics.mean_ms;
-      Alcotest.(check (float 1e-9)) "exact min" 1. l.Metrics.min_ms;
+        (figure "mean");
+      Alcotest.(check (float 1e-9)) "exact min" 1. (figure "min");
       Alcotest.(check (float 1e-9)) "exact max" (float_of_int n)
-        l.Metrics.max_ms;
+        (figure "max");
       (* Quantiles come from the log-bucket histogram: within its
          per-bucket relative error of the exact order statistic, ordered,
          and clamped into the observed range. *)
@@ -1117,14 +1126,110 @@ let test_metrics_latency_bounded () =
           Alcotest.failf "%s = %.1f, exact %.1f: outside bucket error" name v
             exact
       in
-      within "p50" 0.50 l.Metrics.p50_ms;
-      within "p95" 0.95 l.Metrics.p95_ms;
-      within "p99" 0.99 l.Metrics.p99_ms;
+      within "p50" 0.50 (figure "p50");
+      within "p95" 0.95 (figure "p95");
+      within "p99" 0.99 (figure "p99");
       Alcotest.(check bool) "quantiles ordered and clamped" true
-        (l.Metrics.min_ms <= l.Metrics.p50_ms
-        && l.Metrics.p50_ms <= l.Metrics.p95_ms
-        && l.Metrics.p95_ms <= l.Metrics.p99_ms
-        && l.Metrics.p99_ms <= l.Metrics.max_ms)
+        (figure "min" <= figure "p50"
+        && figure "p50" <= figure "p95"
+        && figure "p95" <= figure "p99"
+        && figure "p99" <= figure "max")
+
+(* --- ordered emitter --- *)
+
+let recording_emitter () =
+  let out = ref [] in
+  (Emitter.create (fun line -> out := line :: !out), fun () -> List.rev !out)
+
+let test_emitter_orders () =
+  let em, sent = recording_emitter () in
+  Emitter.emit em 2 "c";
+  Emitter.emit em 1 "b";
+  Alcotest.(check (list string)) "parked behind seq 0" [] (sent ());
+  Emitter.emit em 0 "a";
+  Alcotest.(check (list string)) "flushed in order" [ "a"; "b"; "c" ] (sent ());
+  Emitter.emit em 3 "d";
+  Alcotest.(check (list string)) "next in line goes at once"
+    [ "a"; "b"; "c"; "d" ] (sent ())
+
+let test_emitter_drops_stale () =
+  let em, sent = recording_emitter () in
+  Emitter.emit em 0 "a";
+  Emitter.emit em 2 "c";
+  (* A duplicate of an emitted seq (a worker that crashed after its
+     answer left) is neither sent nor parked: once the caller lets go of
+     it, nothing keeps its line alive. *)
+  let held = Weak.create 1 in
+  let emit_duplicate () =
+    let line = String.make 8 'd' in
+    Weak.set held 0 (Some line);
+    Emitter.emit_lazy em 0 (fun () -> line)
+  in
+  emit_duplicate ();
+  Gc.full_major ();
+  Alcotest.(check bool) "duplicate not parked" false (Weak.check held 0);
+  Alcotest.(check (list string)) "duplicate not sent" [ "a" ] (sent ());
+  Emitter.emit em 1 "b";
+  Alcotest.(check (list string)) "stream intact" [ "a"; "b"; "c" ] (sent ())
+
+let test_emitter_renders_at_flush () =
+  let em, sent = recording_emitter () in
+  let count = ref 0 in
+  Emitter.emit_lazy em 1 (fun () -> Printf.sprintf "count %d" !count);
+  (* Work finished after the thunk parked is still seen by it: it runs
+     when seq 1 is next in line, not when it was handed over. *)
+  count := 5;
+  Emitter.emit em 0 "a";
+  Alcotest.(check (list string)) "rendered when flushed" [ "a"; "count 5" ]
+    (sent ())
+
+(* --- histogram wire codec --- *)
+
+(* Sum 1007.875 and the layout print exactly in 12 significant digits,
+   so the round trip is exact in every field. *)
+let sample_hist () =
+  let h = Histogram.create () in
+  List.iter (Histogram.add h) [ 0.5; 1.25; 3.; 3.; 1000.; 0.125 ];
+  h
+
+let test_hist_codec_roundtrip () =
+  let h = sample_hist () in
+  match Json.of_string (Json.to_string (Metrics.hist_to_json h)) with
+  | Error e -> Alcotest.fail e
+  | Ok json -> (
+      match Metrics.hist_of_json json with
+      | None -> Alcotest.fail "round trip did not decode"
+      | Some h' ->
+          Alcotest.(check bool) "same export" true
+            (Histogram.export h = Histogram.export h'))
+
+let without_growth h =
+  match Metrics.hist_to_json h with
+  | Json.Obj fields -> Json.Obj (List.remove_assoc "growth" fields)
+  | _ -> Alcotest.fail "histogram encodes as an object"
+
+let test_hist_codec_missing_field () =
+  Alcotest.(check bool) "no growth, no histogram" true
+    (Metrics.hist_of_json (without_growth (sample_hist ())) = None)
+
+let test_hist_codec_merge_skips () =
+  let h = sample_hist () in
+  let raw hist =
+    Json.to_string
+      (Json.Obj [ ("status", Json.Str "ok"); ("ok", Json.int 6); ("latency_hist", hist) ])
+  in
+  let t =
+    Suu_shard.Merge.telemetry_of_responses
+      [ raw (Metrics.hist_to_json h); raw (without_growth h) ]
+  in
+  Alcotest.(check int) "both shards report" 2 t.Suu_shard.Merge.shards_reporting;
+  Alcotest.(check (list (pair string int))) "both counters count"
+    [ ("ok", 12) ] t.Suu_shard.Merge.service;
+  match t.Suu_shard.Merge.latency with
+  | None -> Alcotest.fail "the well-formed histogram is kept"
+  | Some merged ->
+      Alcotest.(check int) "only the decodable shard's samples" 6
+        (Histogram.count merged)
 
 (* --- fault injection --- *)
 
@@ -1654,6 +1759,23 @@ let () =
             test_service_answers_are_json;
           Alcotest.test_case "bounded latency metrics" `Quick
             test_metrics_latency_bounded;
+        ] );
+      ( "emitter",
+        [
+          Alcotest.test_case "out of order flushes in order" `Quick
+            test_emitter_orders;
+          Alcotest.test_case "stale duplicate dropped" `Quick
+            test_emitter_drops_stale;
+          Alcotest.test_case "lazy renders at flush" `Quick
+            test_emitter_renders_at_flush;
+        ] );
+      ( "histogram codec",
+        [
+          Alcotest.test_case "json round trip" `Quick test_hist_codec_roundtrip;
+          Alcotest.test_case "missing growth is None" `Quick
+            test_hist_codec_missing_field;
+          Alcotest.test_case "telemetry skips undecodable" `Quick
+            test_hist_codec_merge_skips;
         ] );
       ( "chaos",
         [

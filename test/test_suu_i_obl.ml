@@ -91,6 +91,41 @@ let prop_makespan_reasonable =
       let o = Suu_sim.Engine.run (Rng.create (seed + 1)) inst policy in
       o.Suu_sim.Engine.completed)
 
+(* The guess-doubling search behind Algorithm 2 and the improved ladder:
+   a stub [attempt] that always fails counts how many guesses run before
+   [Too_long]. *)
+let doubling_attempts p =
+  let inst = Instance.independent ~p:[| [| p |] |] in
+  let attempts = ref 0 in
+  match
+    Suu_algo.Accum.doubling_guess inst
+      ~jobs:(Suu_algo.Accum.all_jobs inst)
+      ~mass_target:0.25 ~t0:1
+      ~attempt:(fun _ ->
+        incr attempts;
+        None)
+  with
+  | _ -> Alcotest.fail "expected Too_long"
+  | exception Suu_algo.Accum.Too_long msg -> (!attempts, msg)
+
+let test_too_long_before_any_attempt () =
+  (* At p = 1e-12 job 0 needs a 2.5e11-step round; the budget at m = 1
+     stops at 2^20 steps, so no guess can succeed and none runs. *)
+  let attempts, msg = doubling_attempts 1e-12 in
+  Alcotest.(check int) "no attempt runs" 0 attempts;
+  Alcotest.(check string) "same message"
+    "a 2097152-step guess at m=1 exceeds the 4194304-word schedule budget \
+     (p_min 1e-12)"
+    msg;
+  (* At p = 1e-6 a 2^18-step round could reach the target, so every
+     guess within the budget still runs before the same kind of stop. *)
+  let attempts, msg = doubling_attempts 1e-6 in
+  Alcotest.(check int) "every guess in budget runs" 21 attempts;
+  Alcotest.(check string) "message at the budget"
+    "a 2097152-step guess at m=1 exceeds the 4194304-word schedule budget \
+     (p_min 1e-06)"
+    msg
+
 let () =
   Alcotest.run "suu_i_obl"
     [
@@ -105,6 +140,8 @@ let () =
           Alcotest.test_case "completes" `Quick test_schedule_completes;
           Alcotest.test_case "t grows with hardness" `Quick
             test_final_t_grows_with_hardness;
+          Alcotest.test_case "too long before any attempt" `Quick
+            test_too_long_before_any_attempt;
         ] );
       ( "properties",
         [
