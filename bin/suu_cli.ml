@@ -14,6 +14,16 @@ let instance_arg =
   let doc = "Instance file (format written by 'suu gen')." in
   Arg.(required & opt (some file) None & info [ "f"; "file" ] ~docv:"FILE" ~doc)
 
+(* A malformed instance or plan file is a user error: report it and
+   exit 1. *)
+let load_file what load cmd file =
+  try load file
+  with Failure msg ->
+    Printf.eprintf "suu %s: %s: %s\n" cmd what msg;
+    exit 1
+
+let load_instance = load_file "instance" Suu_harness.Io.load
+
 let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -90,14 +100,14 @@ let print_info inst =
   Format.printf "bounds:    %a@." Suu_algo.Bounds.pp bounds
 
 let info_cmd =
-  let run file = print_info (Suu_harness.Io.load file) in
+  let run file = print_info (load_instance "info" file) in
   Cmd.v
     (Cmd.info "info" ~doc:"Classify an instance and print lower bounds")
     Term.(const run $ instance_arg)
 
 let decompose_cmd =
   let run file =
-    let inst = Suu_harness.Io.load file in
+    let inst = load_instance "decompose" file in
     let dag = Suu_core.Instance.dag inst in
     match Suu_dag.Classify.classify dag with
     | Suu_dag.Classify.General ->
@@ -158,7 +168,7 @@ let solve_cmd =
       & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
   in
   let run file algo trials seed =
-    let inst = Suu_harness.Io.load file in
+    let inst = load_instance "solve" file in
     let bounds = Suu_algo.Bounds.compute inst in
     let lb = Suu_algo.Bounds.best bounds in
     let build kind =
@@ -200,7 +210,7 @@ let solve_cmd =
 
 let exact_cmd =
   let run file =
-    let inst = Suu_harness.Io.load file in
+    let inst = load_instance "exact" file in
     match Suu_algo.Malewicz.optimal inst with
     | r ->
         Printf.printf "TOPT = %.6f (%d states)\n" r.Suu_algo.Malewicz.value
@@ -221,7 +231,7 @@ let plan_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output plan file.")
   in
   let run file out =
-    let inst = Suu_harness.Io.load file in
+    let inst = load_instance "plan" file in
     let sched =
       exit_on_build_failure "plan" (fun () ->
           match Suu_dag.Classify.classify (Suu_core.Instance.dag inst) with
@@ -257,12 +267,12 @@ let simulate_cmd =
       & info [ "gantt" ] ~doc:"Render the execution as a Gantt chart.")
   in
   let run file plan gantt trials seed =
-    let inst = Suu_harness.Io.load file in
+    let inst = load_instance "simulate" file in
     let policy =
       match plan with
       | Some path ->
           Suu_core.Policy.of_oblivious "plan"
-            (Suu_harness.Io.load_schedule path)
+            (load_file "plan" Suu_harness.Io.load_schedule "simulate" path)
       | None -> Suu_algo.Solver.solve ~kind:`Adaptive inst
     in
     let rng = Suu_prob.Rng.create seed in
@@ -291,17 +301,20 @@ let simulate_cmd =
    emits its shutdown report); a second signal restores the default
    disposition, so a wedged drain can still be killed.
 
-   OCaml may run the handler on any domain at a safe point. Only the
-   main domain — and only while it is blocked in [input_line] — may
-   raise to interrupt the read; everywhere else the handler just sets
-   the flag, which the transport checks before the next read. *)
+   OCaml runs the handler at a safe point of a thread that does not
+   block the signal; a coordinator's helper threads block both
+   (Suu_shard.Io_thread), a service's worker domains do not. Only the
+   thread that reads requests — and only while it is blocked in
+   [input_line] — may raise to interrupt the read; everywhere else the
+   handler just sets the flag, which the transport checks before the
+   next read. *)
 exception Shutdown_signal
 
 let serve_stopping = Atomic.make false
 let serve_in_recv = Atomic.make false
 
 let install_serve_signals () =
-  let main = Domain.self () in
+  let main = Thread.id (Thread.self ()) in
   let restore_default () =
     List.iter
       (fun s -> Sys.set_signal s Sys.Signal_default)
@@ -310,12 +323,15 @@ let install_serve_signals () =
   let handler _ =
     Atomic.set serve_stopping true;
     restore_default ();
-    if Domain.self () = main && Atomic.get serve_in_recv then
+    if Thread.id (Thread.self ()) = main && Atomic.get serve_in_recv then
       raise Shutdown_signal
   in
   List.iter
     (fun s -> Sys.set_signal s (Sys.Signal_handle handler))
-    [ Sys.sigint; Sys.sigterm ]
+    [ Sys.sigint; Sys.sigterm ];
+  (* A worker respawned by a coordinator's supervision thread inherits
+     that thread's mask, which blocks both (Suu_shard.Io_thread). *)
+  ignore (Thread.sigmask Unix.SIG_UNBLOCK [ Sys.sigint; Sys.sigterm ])
 
 let signal_aware_stdio () : (module Suu_service.Service.TRANSPORT) =
   (module struct
@@ -822,7 +838,7 @@ let trace_cmd =
   let run file jobs machines policy trials seed sample_every limit out csv =
     let inst =
       match file with
-      | Some f -> Suu_harness.Io.load f
+      | Some f -> load_instance "trace" f
       | None ->
           let rng = Suu_prob.Rng.create seed in
           (Suu_workloads.Workload.grid_batch rng ~n:jobs ~m:machines)

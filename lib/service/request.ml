@@ -68,12 +68,17 @@ let int_field json name ~default =
       | Some k -> k
       | None -> fail "%s: expected an integer" name)
 
+let text_field json name =
+  match Json.member name json with
+  | Some (Json.Str s) -> s
+  | Some _ -> fail "%s: expected a string" name
+  | None -> fail "%s: missing" name
+
+let text_digest text = Digest.to_hex (Digest.string text)
+
 let instance_field json =
-  match Json.member "instance" json with
-  | Some (Json.Str text) -> (
-      try Io.of_string text with Failure msg -> fail "instance: %s" msg)
-  | Some _ -> fail "instance: expected a string"
-  | None -> fail "instance: missing"
+  let text = text_field json "instance" in
+  try Io.of_string text with Failure msg -> fail "instance: %s" msg
 
 let trials_field json ~default =
   let trials = int_field json "trials" ~default in
@@ -100,25 +105,30 @@ let ci_target_field json ~default =
    becomes eligible at step [releases.(j)]. Validated here — length
    against the instance, entries non-negative — so a hostile vector is
    a structured request error, not a worker-side exception. *)
-let releases_field json ~n =
+let release_steps json =
   match Json.member "releases" json with
   | None -> None
   | Some (Json.List items) ->
-      let r =
-        Array.of_list
-          (List.map
-             (fun v ->
-               match Json.to_int v with
-               | Some k when k >= 0 -> k
-               | Some k -> fail "releases: negative release %d" k
-               | None -> fail "releases: expected a list of integers")
-             items)
-      in
+      Some
+        (Array.of_list
+           (List.map
+              (fun v ->
+                match Json.to_int v with
+                | Some k when k >= 0 -> k
+                | Some k -> fail "releases: negative release %d" k
+                | None -> fail "releases: expected a list of integers")
+              items))
+  | Some _ -> fail "releases: expected a list of integers"
+
+let releases_field json ~n =
+  let r = release_steps json in
+  Option.iter
+    (fun r ->
       if Array.length r <> n then
         fail "releases: %d entries but instance has %d jobs" (Array.length r)
-          n;
-      Some r
-  | Some _ -> fail "releases: expected a list of integers"
+          n)
+    r;
+  r
 
 (* ["churn":"seed=S,rate=R,repair=K,perm=Q,steps=N"] asks for a churned
    environment: the worker regenerates the deterministic machine up/down
@@ -152,107 +162,104 @@ let range_field json ~trials =
       | _ -> fail "range: expected [lo,hi] integers")
   | Some _ -> fail "range: expected [lo,hi] integers"
 
+let algo_field json =
+  match Json.member "algo" json with
+  | None | Some (Json.Str "auto") -> `Auto
+  | Some (Json.Str "adaptive") -> `Adaptive
+  | Some (Json.Str "oblivious") -> `Oblivious
+  | Some (Json.Str "improved") -> `Improved
+  | Some (Json.Str "fixed") -> `Fixed
+  | Some (Json.Str other) -> fail "algo: unknown algorithm %S" other
+  | Some _ -> fail "algo: expected a string"
+
+let op_field json =
+  match Json.member "op" json with
+  | Some (Json.Str s) -> s
+  | Some _ -> fail "op: expected a string"
+  | None -> fail "op: missing"
+
+let deadline_field json =
+  match Json.member "deadline_ms" json with
+  | None -> None
+  | Some v -> (
+      match Json.to_num v with
+      | Some d when d >= 0. -> Some d
+      | Some _ -> fail "deadline_ms: must be >= 0"
+      | None -> fail "deadline_ms: expected a number")
+
+let of_json ~default_trials ~default_seed ?default_ci_target json =
+  let id = id_of json in
+  match
+    let op =
+      match op_field json with
+      | "solve" ->
+          let algo = algo_field json in
+          let trials = trials_field json ~default:default_trials in
+          let instance = instance_field json in
+          Solve
+            {
+              algo;
+              trials;
+              seed = int_field json "seed" ~default:default_seed;
+              range = range_field json ~trials;
+              ci_target = ci_target_field json ~default:default_ci_target;
+              releases = releases_field json ~n:(Instance.n instance);
+              churn = churn_field json;
+              instance;
+            }
+      | "estimate" ->
+          let plan_text = text_field json "plan" in
+          let plan =
+            try Io.schedule_of_string plan_text
+            with Failure msg -> fail "plan: %s" msg
+          in
+          let instance = instance_field json in
+          if plan.Suu_core.Oblivious.m <> Instance.m instance then
+            fail "plan: %d machines but instance has %d"
+              plan.Suu_core.Oblivious.m (Instance.m instance);
+          let trials = trials_field json ~default:default_trials in
+          Estimate
+            {
+              plan;
+              plan_digest = text_digest plan_text;
+              trials;
+              seed = int_field json "seed" ~default:default_seed;
+              range = range_field json ~trials;
+              ci_target = ci_target_field json ~default:default_ci_target;
+              releases = releases_field json ~n:(Instance.n instance);
+              churn = churn_field json;
+              instance;
+            }
+      | "info" -> Info (instance_field json)
+      | "exact" -> Exact (instance_field json)
+      | "ping" -> Ping
+      | "stats" ->
+          let format =
+            match Json.member "format" json with
+            | None | Some (Json.Str "json") -> `Json
+            | Some (Json.Str "prom") -> `Prom
+            | Some (Json.Str "raw") -> `Raw
+            | Some (Json.Str other) -> fail "format: unknown format %S" other
+            | Some _ -> fail "format: expected a string"
+          in
+          Stats { format }
+      | other -> fail "op: unknown operation %S" other
+    in
+    { id; deadline_ms = deadline_field json; op }
+  with
+  | req -> Ok req
+  | exception Bad msg -> Error (msg, id)
+  (* Last line of defence: a decoder bug (or a field validation gap)
+     must yield a structured error, never kill the reader loop — but
+     resource-exhaustion exceptions are not decoder bugs and swallowing
+     them would hide a dying process. *)
+  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+  | exception e -> Error ("parse: unexpected: " ^ Printexc.to_string e, id)
+
 let of_line ~default_trials ~default_seed ?default_ci_target line =
   match Json.of_string line with
   | Error msg -> Error ("parse: " ^ msg, None)
-  | Ok json -> (
-      let id = id_of json in
-      match
-        let op_name =
-          match Json.member "op" json with
-          | Some (Json.Str s) -> s
-          | Some _ -> fail "op: expected a string"
-          | None -> fail "op: missing"
-        in
-        let op =
-          match op_name with
-          | "solve" ->
-              let algo =
-                match Json.member "algo" json with
-                | None | Some (Json.Str "auto") -> `Auto
-                | Some (Json.Str "adaptive") -> `Adaptive
-                | Some (Json.Str "oblivious") -> `Oblivious
-                | Some (Json.Str "improved") -> `Improved
-                | Some (Json.Str "fixed") -> `Fixed
-                | Some (Json.Str other) ->
-                    fail "algo: unknown algorithm %S" other
-                | Some _ -> fail "algo: expected a string"
-              in
-              let trials = trials_field json ~default:default_trials in
-              let instance = instance_field json in
-              Solve
-                {
-                  algo;
-                  trials;
-                  seed = int_field json "seed" ~default:default_seed;
-                  range = range_field json ~trials;
-                  ci_target = ci_target_field json ~default:default_ci_target;
-                  releases = releases_field json ~n:(Instance.n instance);
-                  churn = churn_field json;
-                  instance;
-                }
-          | "estimate" ->
-              let plan_text =
-                match Json.member "plan" json with
-                | Some (Json.Str s) -> s
-                | Some _ -> fail "plan: expected a string"
-                | None -> fail "plan: missing"
-              in
-              let plan =
-                try Io.schedule_of_string plan_text
-                with Failure msg -> fail "plan: %s" msg
-              in
-              let instance = instance_field json in
-              if plan.Suu_core.Oblivious.m <> Instance.m instance then
-                fail "plan: %d machines but instance has %d"
-                  plan.Suu_core.Oblivious.m (Instance.m instance);
-              let trials = trials_field json ~default:default_trials in
-              Estimate
-                {
-                  plan;
-                  plan_digest = Digest.to_hex (Digest.string plan_text);
-                  trials;
-                  seed = int_field json "seed" ~default:default_seed;
-                  range = range_field json ~trials;
-                  ci_target = ci_target_field json ~default:default_ci_target;
-                  releases = releases_field json ~n:(Instance.n instance);
-                  churn = churn_field json;
-                  instance;
-                }
-          | "info" -> Info (instance_field json)
-          | "exact" -> Exact (instance_field json)
-          | "ping" -> Ping
-          | "stats" ->
-              let format =
-                match Json.member "format" json with
-                | None | Some (Json.Str "json") -> `Json
-                | Some (Json.Str "prom") -> `Prom
-                | Some (Json.Str "raw") -> `Raw
-                | Some (Json.Str other) -> fail "format: unknown format %S" other
-                | Some _ -> fail "format: expected a string"
-              in
-              Stats { format }
-          | other -> fail "op: unknown operation %S" other
-        in
-        let deadline_ms =
-          match Json.member "deadline_ms" json with
-          | None -> None
-          | Some v -> (
-              match Json.to_num v with
-              | Some d when d >= 0. -> Some d
-              | Some _ -> fail "deadline_ms: must be >= 0"
-              | None -> fail "deadline_ms: expected a number")
-        in
-        { id; deadline_ms; op }
-      with
-      | req -> Ok req
-      | exception Bad msg -> Error (msg, id)
-      (* Last line of defence: a decoder bug (or a field validation gap)
-         must yield a structured error, never kill the reader loop —
-         but resource-exhaustion exceptions are not decoder bugs and
-         swallowing them would hide a dying process. *)
-      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-      | exception e -> Error ("parse: unexpected: " ^ Printexc.to_string e, id))
+  | Ok json -> of_json ~default_trials ~default_seed ?default_ci_target json
 
 (* --- cache keys --- *)
 
@@ -293,18 +300,31 @@ let cacheable req =
   | Solve _ | Estimate _ | Exact _ -> true
   | Info _ | Ping | Stats _ -> false
 
+(* The key layouts, given the instance's (and plan's) digest: the
+   service keys on the parsed instance, the coordinator's route on the
+   raw text. *)
+let solve_key ~digest ~algo ~trials ~seed ~range ~ci_target ~releases ~churn =
+  (* Key on the algorithm actually executed, so "auto" and "adaptive"
+     requests share one cache entry. A range request keys on its range
+     too: a partial answer must never alias the full one. *)
+  Printf.sprintf "solve:%s:%s:%d:%d%s%s%s%s" digest
+    (algo_name (canonical_algo algo))
+    trials seed (range_suffix range) (ci_suffix ci_target)
+    (releases_suffix releases) (churn_suffix churn)
+
+let estimate_key ~digest ~plan_digest ~trials ~seed ~range ~ci_target
+    ~releases ~churn =
+  Printf.sprintf "estimate:%s:%s:%d:%d%s%s%s%s" digest plan_digest trials seed
+    (range_suffix range) (ci_suffix ci_target) (releases_suffix releases)
+    (churn_suffix churn)
+
 let cache_key req =
   match req.op with
   | Solve { algo; trials; seed; range; ci_target; releases; churn; instance }
     ->
-      (* Key on the algorithm actually executed, so "auto" and "adaptive"
-         requests share one cache entry. A range request keys on its
-         range too: a partial answer must never alias the full one. *)
       Some
-        (Printf.sprintf "solve:%s:%s:%d:%d%s%s%s%s" (Io.digest instance)
-           (algo_name (canonical_algo algo)) trials seed (range_suffix range)
-           (ci_suffix ci_target) (releases_suffix releases)
-           (churn_suffix churn))
+        (solve_key ~digest:(Io.digest instance) ~algo ~trials ~seed ~range
+           ~ci_target ~releases ~churn)
   | Estimate
       {
         plan_digest;
@@ -318,11 +338,67 @@ let cache_key req =
         _;
       } ->
       Some
-        (Printf.sprintf "estimate:%s:%s:%d:%d%s%s%s%s" (Io.digest instance)
-           plan_digest trials seed (range_suffix range) (ci_suffix ci_target)
-           (releases_suffix releases) (churn_suffix churn))
+        (estimate_key ~digest:(Io.digest instance) ~plan_digest ~trials ~seed
+           ~range ~ci_target ~releases ~churn)
   | Exact instance -> Some (Printf.sprintf "exact:%s" (Io.digest instance))
   | Info _ | Ping | Stats _ -> None
+
+(* --- routing without the instance parse --- *)
+
+type route =
+  | Forward of { id : string option; key : string option }
+  | Decoded of (t, string * string option) result
+
+(* Every field [of_json] checks, except the instance and plan texts and
+   the checks that need them parsed (the releases length, the plan's
+   machine count). Raises [Bad] on any failure and for the ops a
+   coordinator answers itself. *)
+let forward_key ~default_trials ~default_seed ?default_ci_target json =
+  let mc_fields () =
+    let trials = trials_field json ~default:default_trials in
+    let seed = int_field json "seed" ~default:default_seed in
+    let range = range_field json ~trials in
+    let ci_target = ci_target_field json ~default:default_ci_target in
+    let releases = release_steps json in
+    let churn = churn_field json in
+    (trials, seed, range, ci_target, releases, churn)
+  in
+  let key =
+    match op_field json with
+    | "solve" ->
+        let algo = algo_field json in
+        let trials, seed, range, ci_target, releases, churn = mc_fields () in
+        Some
+          (solve_key
+             ~digest:(text_digest (text_field json "instance"))
+             ~algo ~trials ~seed ~range ~ci_target ~releases ~churn)
+    | "estimate" ->
+        let plan_digest = text_digest (text_field json "plan") in
+        let trials, seed, range, ci_target, releases, churn = mc_fields () in
+        Some
+          (estimate_key
+             ~digest:(text_digest (text_field json "instance"))
+             ~plan_digest ~trials ~seed ~range ~ci_target ~releases ~churn)
+    | "exact" -> Some ("exact:" ^ text_digest (text_field json "instance"))
+    | "info" ->
+        ignore (text_field json "instance");
+        None
+    | _ -> raise (Bad "not forwarded")
+  in
+  ignore (deadline_field json);
+  key
+
+let route_line ~default_trials ~default_seed ?default_ci_target line =
+  match Json.of_string line with
+  | Error msg -> Decoded (Error ("parse: " ^ msg, None))
+  | Ok json -> (
+      match
+        forward_key ~default_trials ~default_seed ?default_ci_target json
+      with
+      | key -> Forward { id = id_of json; key }
+      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+      | exception _ ->
+          Decoded (of_json ~default_trials ~default_seed ?default_ci_target json))
 
 (* --- re-encoding (range request lines) --- *)
 

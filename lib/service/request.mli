@@ -133,6 +133,41 @@ val of_line :
     ["ci_target"] must be positive. Lines with duplicate JSON keys are
     rejected at the parser ({!Json.of_string}). *)
 
+val of_json :
+  default_trials:int ->
+  default_seed:int ->
+  ?default_ci_target:float ->
+  Json.t ->
+  (t, string * string option) result
+(** {!of_line} after the JSON decode: [of_line] is {!Json.of_string}
+    (a failure answers ["parse: …"] with no id) followed by this. *)
+
+(** How a routing coordinator treats one line, decided without parsing
+    any instance or plan text. *)
+type route =
+  | Forward of { id : string option; key : string option }
+      (** Send the line on unparsed. [key] is built from the MD5 of the
+          raw ["instance"] string (and, for [estimate], the raw
+          ["plan"] string) plus every other field {!cache_key} covers;
+          [None] for [info], which has no key. Every other field has
+          been validated, so the worker's {!of_line} either accepts the
+          line or rejects it on the instance or plan text, with the
+          very bytes a coordinator-side decode would have produced. *)
+  | Decoded of (t, string * string option) result
+      (** Exactly {!of_line}'s result: for [ping], [stats], unknown
+          ops and every line whose envelope fails a check, so the
+          error that wins is the one a single service reports. *)
+
+val route_line :
+  default_trials:int ->
+  default_seed:int ->
+  ?default_ci_target:float ->
+  string ->
+  route
+(** Decode the line's JSON once and classify it. Two spellings of one
+    instance text get different keys; that costs cache affinity, never
+    answer bytes. *)
+
 val cacheable : t -> bool
 (** Whether {!cache_key} is [Some _]: [solve], [estimate] and [exact]
     answers can be cached; computing this costs no digest. *)

@@ -6,7 +6,8 @@ module Work_queue = Suu_service.Work_queue
 (* A peer is the raw line pipe to one worker: the client layer above it
    only ever needs these five operations, so subprocess workers,
    TCP-connected workers and in-process workers (a Service.serve in a
-   domain, for tests and benchmarks) are interchangeable. *)
+   domain, for tests and benchmarks) are interchangeable. Each client's
+   reader is a thread of the caller's domain (Io_thread). *)
 type peer = {
   send_line : string -> unit;
   recv_line : unit -> string option;
@@ -27,7 +28,7 @@ type t = {
                        blocking pipe operation *)
   pending : (string option -> unit) Queue.t;
   mutable alive : bool;
-  mutable reader : unit Domain.t option;
+  mutable reader : Io_thread.t option;
 }
 
 let id t = t.id
@@ -77,7 +78,7 @@ let custom ~id peer =
       reader = None;
     }
   in
-  t.reader <- Some (Domain.spawn (fun () -> reader_loop t));
+  t.reader <- Some (Io_thread.spawn (fun () -> reader_loop t));
   t
 
 let submit t line cb =
@@ -106,9 +107,9 @@ let close_input t =
 
 let join t =
   (match t.reader with
-  | Some d ->
+  | Some r ->
       t.reader <- None;
-      Domain.join d
+      Io_thread.join r
   | None -> ());
   try t.peer.reap () with Unix.Unix_error _ | Sys_error _ -> ()
 
@@ -245,7 +246,7 @@ let tcp_peer ?(connect_timeout_s = 1.0) ?(read_timeout_s = 0.)
     | None -> ());
     Mutex.unlock st.wm
   in
-  (* Reconnect path (reader domain only). The dead socket is shut down
+  (* Reconnect path (reader thread only). The dead socket is shut down
      but stays open — and stays in [st.conn] — until the swap under
      [wm], so a concurrent submit writes into the corpse (harmlessly)
      rather than into a recycled descriptor. *)

@@ -1,8 +1,8 @@
 (** One worker shard, seen from the coordinator.
 
     A client owns the line pipe to one worker process (or TCP peer, or
-    in-process worker) plus a reader domain and a FIFO of response
-    callbacks. {!submit} pushes the callback and writes the request
+    in-process worker) plus a reader thread ({!Io_thread}) and a FIFO
+    of response callbacks. {!submit} pushes the callback and writes the request
     line as one atomic step, so the FIFO order matches the wire order;
     since the service answers in request order, the reader pairs each
     incoming response line with the oldest callback. Worker loss —
@@ -34,7 +34,7 @@ type peer = {
 }
 
 val custom : id:int -> peer -> t
-(** Wrap a hand-built peer: spawns the reader domain over it. The seam
+(** Wrap a hand-built peer: spawns the reader thread over it. The seam
     every other constructor goes through. *)
 
 val process : id:int -> prog:string -> argv:string array -> t
@@ -112,9 +112,9 @@ val id : t -> int
 
 val submit : t -> string -> (string option -> unit) -> bool
 (** [submit t line cb] sends one request line; [cb] fires exactly once,
-    from the reader domain, with [Some response_line] or — if the worker
+    from the reader thread, with [Some response_line] or — if the worker
     is lost first — [None]. Returns [false] (and never fires [cb]) when
-    the client is already dead. The callback runs on the reader domain:
+    the client is already dead. The callback runs on the reader thread:
     it must not block on this client. *)
 
 val alive : t -> bool
@@ -130,5 +130,6 @@ val close_input : t -> unit
     queue, answers everything admitted, and exits. Idempotent. *)
 
 val join : t -> unit
-(** Wait for the reader domain and reap the worker (waitpid / domain
-    join / socket close). Call after {!kill} or {!close_input}. *)
+(** Wait for the reader thread and reap the worker (waitpid / domain
+    join / socket close). Call after {!kill} or {!close_input}. An
+    exception that escaped the reader re-raises here. *)

@@ -466,7 +466,7 @@ let admit_stats t seq req format =
 
 (* --- admission -------------------------------------------------------- *)
 
-let admit_forward t seq req line =
+let admit_forward t seq ~id ~key line =
   Mutex.lock t.lock;
   t.outstanding <- t.outstanding + 1;
   t.forwards <- t.forwards + 1;
@@ -474,28 +474,31 @@ let admit_forward t seq req line =
   let fwd =
     {
       fseq = seq;
-      fid = req.Request.id;
+      fid = id;
       fadmitted = now_ms ();
       fline = line;
-      fkey = Request.cache_key req;
+      fkey = key;
       fattempts = 0;
     }
   in
   dispatch_forward t fwd
 
+(* Routing reads the line's JSON but never its instance: a forwarded
+   line is parsed once, by the shard that answers it. *)
 let admit t seq line =
   Trace.with_span t.cfg.tracer "route"
     ~attrs:[ ("seq", string_of_int seq) ]
     (fun () ->
       match
-        Request.of_line ~default_trials:t.cfg.default_trials
+        Request.route_line ~default_trials:t.cfg.default_trials
           ~default_seed:t.cfg.default_seed
           ?default_ci_target:t.cfg.default_ci_target line
       with
-      | Error (msg, id) ->
+      | Request.Forward { id; key } -> admit_forward t seq ~id ~key line
+      | Request.Decoded (Error (msg, id)) ->
           Metrics.record_error t.metrics;
           Emitter.emit t.em seq (Request.error ~id msg)
-      | Ok req -> (
+      | Request.Decoded (Ok req) -> (
           match req.Request.op with
           | Request.Ping ->
               (* Answered at the coordinator: a pong vouches for the
@@ -509,14 +512,16 @@ let admit t seq line =
                      ("shards_live", Json.int (List.length (live_indices t)));
                    ])
           | Request.Stats { format } -> admit_stats t seq req format
-          | _ -> admit_forward t seq req line))
+          | _ ->
+              admit_forward t seq ~id:req.Request.id
+                ~key:(Request.cache_key req) line))
 
 (* --- supervision ------------------------------------------------------ *)
 
 let heartbeat_line =
   Json.to_string (Json.Obj [ ("op", Json.Str "ping"); ("id", Json.Str "hb") ])
 
-(* One domain runs the whole control loop: heartbeat escalation on the
+(* One thread runs the whole control loop: heartbeat escalation on the
    configured period, respawn of dead shards when their backoff clock
    expires, and an opportunistic pump so work queued while the fleet
    was empty starts the moment a shard rejoins (or fails for good the
@@ -615,14 +620,17 @@ let serve cfg ~spawn transport =
     }
   in
   let stop_sup = Atomic.make false in
-  let sup_domain =
+  let sup_thread =
     if cfg.heartbeat_ms <> None || cfg.respawn_budget > 0 then
-      Some (Domain.spawn (fun () -> supervision_loop t stop_sup))
+      Some (Io_thread.spawn (fun () -> supervision_loop t stop_sup))
     else None
   in
   let rec read_loop seq =
     match T.recv () with
     | None -> ()
+    | Some line when String.trim line = "" ->
+        (* skipped unanswered, as [Service.serve] does *)
+        read_loop seq
     | Some line ->
         admit t seq line;
         read_loop (seq + 1)
@@ -635,13 +643,13 @@ let serve cfg ~spawn transport =
   Mutex.unlock t.lock;
   (* Let the fleet finish healing before the final report: respawn
      budgets are finite and backoff is capped, so this terminates. With
-     the supervision domain disabled there is nobody to heal. *)
-  if sup_domain <> None then
+     the supervision thread disabled there is nobody to heal. *)
+  if sup_thread <> None then
     while Supervisor.healing t.sup do
       Unix.sleepf 0.005
     done;
   Atomic.set stop_sup true;
-  Option.iter Domain.join sup_domain;
+  Option.iter Io_thread.join sup_thread;
   let shards_live = Supervisor.live_count t.sup in
   let clients = Supervisor.clients t.sup in
   List.iter Client.close_input clients;

@@ -5,12 +5,29 @@
 
     {2 Routing}
 
-    Whole requests are routed by consistent hashing on the request's
-    canonical cache key ({!Suu_service.Request.cache_key}): equal keys
-    always reach the same shard, so each shard's LRU cache stays hot on
-    its slice of the keyspace and the fleet's effective cache capacity
-    is the {e sum} of the shards' — the capacity-scaling half of the
-    sharding story. Keyless ops (info) round-robin over the live set.
+    Whole requests are routed by consistent hashing on a key built from
+    the line's raw bytes ({!Suu_service.Request.route_line}): the MD5 of
+    the ["instance"] string (and of the ["plan"] string for [estimate])
+    plus every other field the cache key covers. The coordinator decodes
+    each line's JSON once and never parses an instance it forwards;
+    the shard that answers does. Equal keys always reach the same shard,
+    so each shard's LRU cache stays hot on its slice of the keyspace and
+    the fleet's effective cache capacity is the {e sum} of the shards' —
+    the capacity-scaling half of the sharding story. Two spellings of
+    one instance (say, different whitespace) get different keys and may
+    land on different shards: that costs cache affinity only, never
+    answer bytes. Keyless ops (info) round-robin over the live set.
+
+    A line whose envelope fails any check is decoded in full, as a
+    single service would, and answered at the coordinator — so the error
+    that wins is the service's. A line whose only fault is its instance
+    or plan text is forwarded, and the shard's own decode answers it
+    with the same bytes. Blank and whitespace-only lines are skipped
+    unanswered, as the service skips them.
+
+    Shard readers and the supervision loop are threads of the caller's
+    domain ({!Io_thread}); only {!Client.local}'s in-process service
+    runs in a domain of its own.
 
     Every request travels whole: the coordinator forwards the client's
     line verbatim and passes the shard's answer back unchanged, so the

@@ -127,4 +127,4 @@ val clients : t -> Client.t list
 
 val drain_zombies : t -> Client.t list
 (** Fenced-out clients accumulated since the last drain. Their reader
-    domains still need {!Client.join}; shutdown drains and joins. *)
+    threads still need {!Client.join}; shutdown drains and joins. *)

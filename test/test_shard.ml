@@ -790,6 +790,164 @@ let test_tcp_stall_does_not_corrupt () =
   Client.join client;
   stop_tcp_server server
 
+(* --- Fleet identity over generated lines --- *)
+
+(* The coordinator routes on raw text and answers only what fails before
+   the instance would be read; everything else is the shard's [of_line].
+   So over any line file without ping and stats (whose answers differ by
+   design) the fleet must answer byte for byte as one service. The
+   generator mixes every algo, estimate/info/exact, malformed instances
+   and plans, a bad instance beside a bad later field (which error
+   wins), blank lines, duplicate keys, non-JSON and unknown ops. *)
+let gen_request_line =
+  let open QCheck.Gen in
+  let id = map (Printf.sprintf "q%d") (int_bound 9) in
+  let good_inst =
+    oneofl
+      [
+        escaped instance_text;
+        escaped "suu 1\nn 2 m 2\nedges 1\n0 1\nprobs\n0.9 0.5\n0.4 0.8";
+      ]
+  in
+  let bad_inst =
+    oneofl
+      [
+        escaped "suu 1\nn 2 m 2\nedges 0\nprobs\n0.9";
+        escaped "suu 2\nn 1 m 1\nedges 0\nprobs\n0.5";
+        "";
+      ]
+  in
+  let inst = frequency [ (3, good_inst); (1, bad_inst) ] in
+  let trials =
+    oneofl [ ""; {|"trials":1,|}; {|"trials":8,|}; {|"trials":0,|} ]
+  in
+  let extra =
+    oneofl
+      [
+        {|"seed":3,|};
+        {|"seed":"x",|};
+        {|"ci_target":0.5,|};
+        {|"ci_target":-1,|};
+        {|"releases":[0,2],|};
+        {|"releases":[0],|};
+        {|"releases":[-1,0],|};
+        {|"churn":"seed=2,rate=0.1,repair=4,steps=64",|};
+        {|"churn":"bogus",|};
+        {|"range":[0,1],|};
+        {|"range":[1,2],|};
+        {|"deadline_ms":60000,|};
+        {|"deadline_ms":-5,|};
+      ]
+  in
+  let extras = map (String.concat "") (list_size (int_bound 2) extra) in
+  let algo =
+    oneofl
+      [
+        "";
+        {|"algo":"auto",|};
+        {|"algo":"adaptive",|};
+        {|"algo":"oblivious",|};
+        {|"algo":"improved",|};
+        {|"algo":"fixed",|};
+        {|"algo":"lzf",|};
+      ]
+  in
+  let plan =
+    oneofl
+      [
+        escaped "suu-plan 1\nm 2\nprefix 0\ncycle 1\n0 1";
+        escaped "suu-plan 1\nm 3\nprefix 0\ncycle 1\n0 1 0";
+        escaped "suu-plan 2";
+      ]
+  in
+  let solve =
+    map
+      (fun (id, algo, trials, extras, inst) ->
+        Printf.sprintf {|{"op":"solve","id":"%s",%s%s%s"instance":"%s"}|} id
+          algo trials extras inst)
+      (tup5 id algo trials extras inst)
+  in
+  let estimate =
+    map
+      (fun (id, plan, trials, extras, inst) ->
+        Printf.sprintf
+          {|{"op":"estimate","id":"%s","plan":"%s",%s%s"instance":"%s"}|} id
+          plan trials extras inst)
+      (tup5 id plan trials extras inst)
+  in
+  let single op =
+    map2
+      (fun id inst ->
+        Printf.sprintf {|{"op":"%s","id":"%s","instance":"%s"}|} op id inst)
+      id inst
+  in
+  let odd =
+    oneofl
+      [
+        "";
+        "   ";
+        "\t";
+        "not json";
+        "{";
+        "[1,2]";
+        {|{"op":"solve","id":"d","trials":8,"trials":9,"instance":"x"}|};
+        {|{"op":"frobnicate","id":"u"}|};
+        {|{"op":7,"id":"u"}|};
+        {|{"id":"u"}|};
+        {|{"op":"info","id":"n","instance":5}|};
+        {|{"op":"exact","id":"n"}|};
+        {|{"op":"solve","id":"n","trials":8,"seed":"x","instance":"suu 2"}|};
+      ]
+  in
+  frequency
+    [
+      (6, solve);
+      (2, estimate);
+      (1, single "info");
+      (1, single "exact");
+      (3, odd);
+    ]
+
+let prop_fleet_identity =
+  QCheck.Test.make ~name:"2-shard coordinator = one service, byte for byte"
+    ~count:50
+    (QCheck.make
+       ~print:(fun lines -> String.concat "\n" lines)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 8) gen_request_line))
+    (fun lines ->
+      let single, _ = Service.run_lines worker_config lines in
+      let fleet, _ =
+        Coordinator.run_lines (coord_config ~shards:2) ~spawn:spawn_local lines
+      in
+      List.map scrub single = List.map scrub fleet)
+
+(* The coordinator never parses an instance it forwards: a solve whose
+   only fault is its instance text routes on that text, and the shard's
+   parse produces the error — so the bytes are one service's and the
+   error is counted by a shard. *)
+let test_forwards_unparsed_instance () =
+  let bad =
+    Printf.sprintf {|{"op":"solve","id":"b","trials":8,"instance":"%s"}|}
+      (escaped "suu 1\nn 2 m 2\nedges 0\nprobs\n0.9")
+  in
+  (match Request.route_line ~default_trials:40 ~default_seed:5 bad with
+  | Request.Forward { id = Some "b"; key = Some _ } -> ()
+  | _ -> Alcotest.fail "a malformed instance is not forwarded unparsed");
+  let single, _ = Service.run_lines worker_config [ bad ] in
+  let out, report =
+    Coordinator.run_lines (coord_config ~shards:2) ~spawn:spawn_local
+      [ bad; {|{"op":"stats","id":"z"}|} ]
+  in
+  check_byte_identical ~msg:"malformed instance" single [ List.hd out ];
+  Alcotest.(check int) "forwarded" 1 report.Coordinator.forwards;
+  let shard name =
+    Option.bind (field "shard" (List.nth out 1)) (fun o ->
+        Option.bind (Json.member name o) Json.to_int)
+  in
+  Alcotest.(check (option int)) "counted in a shard's errors" (Some 1)
+    (shard "errors")
+
 (* --- Suites --- *)
 
 let coordinator_cases spawn =
@@ -860,6 +1018,12 @@ let () =
         ] );
       ("coordinator", coordinator_cases spawn_local);
       ("coordinator-tcp", coordinator_cases spawn_tcp);
+      ( "fleet identity",
+        [
+          Alcotest.test_case "forwards a malformed instance unparsed" `Quick
+            test_forwards_unparsed_instance;
+          QCheck_alcotest.to_alcotest prop_fleet_identity;
+        ] );
       ( "fencing",
         [
           Alcotest.test_case "zombie answers discarded at the fence" `Quick
