@@ -542,8 +542,8 @@ let serve_cmd =
             Printf.eprintf "suu serve: %s\n" msg;
             exit 2
         | Ok (lsock, bound) ->
-            (* The announce is the handshake a spawning coordinator
-               waits for before dialling. *)
+            (* The announce tells a client that asked for port 0 where
+               to dial. *)
             print_string ("listening " ^ bound);
             print_newline ();
             flush stdout;
@@ -610,14 +610,12 @@ let coordinator_cmd =
   in
   let transport_arg =
     let doc =
-      "Worker transport: 'pipe' spawns workers as pipe children; 'tcp' \
-       spawns workers listening on 127.0.0.1 (port picked by the kernel, \
-       announced on their stdout) and dials them — same wire protocol, \
-       plus reconnect with backoff and idempotent re-send on torn sockets."
+      "Worker transport, kept for existing scripts; 'pipe' is the only \
+       transport: each worker is a pipe child."
     in
     Arg.(
       value
-      & opt (enum [ ("pipe", `Pipe); ("tcp", `Tcp) ]) `Pipe
+      & opt (enum [ ("pipe", ()) ]) ()
       & info [ "transport" ] ~docv:"T" ~doc)
   in
   let respawn_budget_arg =
@@ -677,7 +675,7 @@ let coordinator_cmd =
       value & flag
       & info [ "q"; "quiet" ] ~doc:"Suppress the shutdown metrics dump.")
   in
-  let run shards replicas retries heartbeat_ms transport respawn_budget workers queue cache trials seed
+  let run shards replicas retries heartbeat_ms _transport respawn_budget workers queue cache trials seed
       deadline ci_target fault_spec worker_fault_spec quiet =
     (match ci_target with
     | Some w when w <= 0. ->
@@ -707,13 +705,6 @@ let coordinator_cmd =
       let argv =
         [
           [ exe; "serve"; "--quiet" ];
-          (match transport with
-          | `Pipe -> []
-          | `Tcp ->
-              (* One connection is a spawned worker's whole lifetime:
-                 after its coordinator hangs up it must exit, or the
-                 shutdown waitpid would hang on the accept loop. *)
-              [ "--listen"; "127.0.0.1:0"; "--max-conns"; "1" ]);
           [ "--workers"; string_of_int (max 1 workers) ];
           [ "--queue"; string_of_int (max 1 queue) ];
           [ "--cache"; string_of_int (max 0 cache) ];
@@ -731,9 +722,7 @@ let coordinator_cmd =
         ]
         |> List.concat |> Array.of_list
       in
-      match transport with
-      | `Pipe -> Suu_shard.Client.process ~id:i ~prog:exe ~argv
-      | `Tcp -> Suu_shard.Client.tcp_process ~id:i ~fault ~prog:exe ~argv ()
+      Suu_shard.Client.process ~id:i ~prog:exe ~argv
     in
     let config =
       {

@@ -127,5 +127,4 @@ val backoff_s :
     delay lands in [\[c/2, 3c/2)] and a chaos replay schedules the same
     delays. Every caller keeps its own cap and key: the service's
     transient retries and the coordinator's re-dispatches (50 ms, keyed
-    by {!attempt_key}), TCP reconnects (200 ms) and shard respawns
-    (500 ms). *)
+    by {!attempt_key}) and shard respawns (500 ms). *)

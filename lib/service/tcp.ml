@@ -1,8 +1,7 @@
 (* TCP transport for the serving layer: newline-delimited line framing
    over a socket, the same wire protocol the stdio transport speaks.
-   The listener side lives here (workers: `suu serve --listen`); the
-   connecting side lives with the coordinator's shard client, which
-   owns reconnect policy. *)
+   Only the listener side exists (`suu serve --listen`); clients dial it
+   with any line-framed socket. *)
 
 let default_host = "127.0.0.1"
 
@@ -58,6 +57,7 @@ let listen text =
 type conn = {
   fd : Unix.file_descr;
   rbuf : Buffer.t;  (* bytes read but not yet returned as lines *)
+  mutable scanned : int;  (* rbuf's first [scanned] bytes hold no '\n' *)
   chunk : bytes;
   (* Close exactly once: after {!tear} or {!close} the fd number may be
      recycled by a concurrent dial (in-process tests share one fd
@@ -66,24 +66,43 @@ type conn = {
 }
 
 let conn_of_fd fd =
-  { fd; rbuf = Buffer.create 4096; chunk = Bytes.create 4096; closed = false }
+  {
+    fd;
+    rbuf = Buffer.create 4096;
+    scanned = 0;
+    chunk = Bytes.create 4096;
+    closed = false;
+  }
 
+(* Only bytes not yet scanned are searched, so a line that arrives over
+   many reads costs time linear in its length. *)
 let take_line c =
-  let s = Buffer.contents c.rbuf in
-  match String.index_opt s '\n' with
-  | None -> None
+  let len = Buffer.length c.rbuf in
+  let rec find i =
+    if i >= len then None
+    else if Buffer.nth c.rbuf i = '\n' then Some i
+    else find (i + 1)
+  in
+  match find c.scanned with
+  | None ->
+      c.scanned <- len;
+      None
   | Some i ->
-      Buffer.clear c.rbuf;
-      Buffer.add_substring c.rbuf s (i + 1) (String.length s - i - 1);
       (* Tolerate CRLF framing from foreign peers. *)
-      let line = if i > 0 && s.[i - 1] = '\r' then String.sub s 0 (i - 1)
-                 else String.sub s 0 i in
+      let stop =
+        if i > 0 && Buffer.nth c.rbuf (i - 1) = '\r' then i - 1 else i
+      in
+      let line = Buffer.sub c.rbuf 0 stop in
+      let rest = Buffer.sub c.rbuf (i + 1) (len - i - 1) in
+      Buffer.clear c.rbuf;
+      Buffer.add_string c.rbuf rest;
+      c.scanned <- 0;
       Some line
 
-(* One framed line, or None on clean EOF. Read errors (reset, timeout
-   when SO_RCVTIMEO is armed) raise Unix_error for the caller's
-   reconnect policy to interpret. *)
-let rec recv_line c =
+(* One framed line, or None on clean EOF. A read interrupted by a signal
+   also reads as EOF once [stopping] holds: that is how SIGTERM ends a
+   connection whose client keeps it open. Other read errors raise. *)
+let rec recv_line ?(stopping = fun () -> false) c =
   match take_line c with
   | Some line -> Some line
   | None -> (
@@ -94,8 +113,9 @@ let rec recv_line c =
           None
       | n ->
           Buffer.add_subbytes c.rbuf c.chunk 0 n;
-          recv_line c
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv_line c)
+          recv_line ~stopping c
+      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+          if stopping () then None else recv_line ~stopping c)
 
 let send_line c line =
   let payload = Bytes.of_string (line ^ "\n") in
@@ -107,14 +127,6 @@ let send_line c line =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> push off
   in
   push 0
-
-let shutdown_send c =
-  if not c.closed then
-    try Unix.shutdown c.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()
-
-let shutdown_all c =
-  if not c.closed then
-    try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 let tear c =
   (* Abrupt loss: linger 0 turns close into RST where supported, and
@@ -151,17 +163,18 @@ let wake addr_text =
    fault sites applied on the response path: [Sock_stall] sleeps before
    a write, [Tear] destroys the socket instead of writing. Once the
    socket is dead, sends are dropped and recv reports EOF — the service
-   drains as if the client had vanished, which it has. *)
-let connection_transport ~(fault : Fault.spec) ~line_base c :
+   drains as if the client had vanished, which it has. Once [stopping]
+   holds, recv reports EOF too, and the service drains the same way. *)
+let connection_transport ~(fault : Fault.spec) ~stopping ~line_base c :
     (module Service.TRANSPORT) =
   (module struct
     let dead = ref false
     let sent = ref 0
 
     let recv () =
-      if !dead then None
+      if !dead || stopping () then None
       else
-        match recv_line c with
+        match recv_line ~stopping c with
         | r -> r
         | exception Unix.Unix_error (_, _, _) ->
             dead := true;
@@ -184,10 +197,10 @@ let connection_transport ~(fault : Fault.spec) ~line_base c :
   end)
 
 (* Accept connections sequentially and run one service instance per
-   connection. [max_conns = 0] loops until [stopping] (the process is
-   normally killed by whoever spawned it); response-line fault keys
-   continue across connections so a reconnecting client cannot re-draw
-   the exact fault schedule that tore its first connection. *)
+   connection. [max_conns = 0] loops until [stopping] (SIGTERM under
+   suu serve --listen); response-line fault keys continue across
+   connections so a reconnecting client cannot re-draw the exact fault
+   schedule that tore its first connection. *)
 let serve_connections ?(max_conns = 0) ?(stopping = fun () -> false)
     ~on_report (cfg : Service.config) lsock =
   let conns = ref 0 in
@@ -208,7 +221,7 @@ let serve_connections ?(max_conns = 0) ?(stopping = fun () -> false)
           if Fault.fires cfg.Service.fault Fault.Refuse ~key:k then tear c
           else begin
             let transport =
-              connection_transport ~fault:cfg.Service.fault
+              connection_transport ~fault:cfg.Service.fault ~stopping
                 ~line_base:!lines_out c
             in
             let report = Service.serve cfg transport in

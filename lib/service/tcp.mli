@@ -1,13 +1,12 @@
 (** TCP transport for the serving layer.
 
     Newline-delimited line framing over a socket — the same wire
-    protocol the stdio transport speaks, so a worker behind
-    [suu serve --listen] answers byte-identically to one behind a pipe.
-    This module owns the {e listener} side (binding, accepting, running
-    one {!Service.serve} instance per connection, injecting the
-    connection-level fault sites); the {e connecting} side, with its
-    reconnect/backoff and idempotent re-send policy, lives in the shard
-    client ({!Suu_shard.Client}). *)
+    protocol the stdio transport speaks, so [suu serve --listen]
+    answers byte-identically to [suu serve] on a pipe. This module is
+    the {e listener} side only: binding, accepting, running one
+    {!Service.serve} instance per connection, and injecting the
+    connection-level fault sites. Any line-framed socket client can
+    dial it; the coordinator's shards run over pipes. *)
 
 val parse_addr : string -> (Unix.inet_addr * int, string) result
 (** Parse ["host:port"], [":port"] or bare ["port"]. The host defaults
@@ -24,40 +23,31 @@ val listen : string -> (Unix.file_descr * string, string) result
 
 (** {2 Line-framed connections}
 
-    Shared by both ends: a buffered reader that reassembles
-    newline-framed lines from socket reads, and a write that loops over
-    short writes. *)
+    A buffered reader that reassembles newline-framed lines from socket
+    reads, and a write that loops over short writes. Tests dial the
+    listener with them too. *)
 
 type conn
 
 val conn_of_fd : Unix.file_descr -> conn
 
-val recv_line : conn -> string option
+val recv_line : ?stopping:(unit -> bool) -> conn -> string option
 (** Next framed line, or [None] on clean EOF (a trailing unterminated
-    fragment is dropped). Read errors — connection reset, or a read
-    timeout when [SO_RCVTIMEO] is armed — raise [Unix.Unix_error] for
-    the caller's reconnect policy to interpret. *)
+    fragment is dropped). A CRLF terminator is stripped whole. Time is
+    linear in the line's length, however many reads it spans. A read
+    interrupted by a signal ([EINTR]) is retried, unless [stopping ()]
+    (default: never) then holds, which reads as EOF. Other read errors,
+    such as a connection reset, raise [Unix.Unix_error]. *)
 
 val send_line : conn -> string -> unit
 (** Write [line ^ "\n"], looping over short writes. Raises
     [Unix.Unix_error] (e.g. [EPIPE] with SIGPIPE ignored) on a dead
     peer. *)
 
-val shutdown_send : conn -> unit
-(** Half-close: signal EOF to the peer while still reading responses —
-    the socket equivalent of closing a pipe child's stdin. Errors are
-    swallowed (the peer may already be gone). *)
-
-val shutdown_all : conn -> unit
-(** Shut down both directions without closing the descriptor. Wakes a
-    reader blocked on this connection (it sees EOF/reset) while keeping
-    the fd number reserved until {!close} — so a concurrent writer
-    cannot race a recycled descriptor. Errors are swallowed. *)
-
 val tear : conn -> unit
 (** Destroy the connection abruptly (linger-0 close: RST where the
-    platform supports it). Used by the [Tear] fault site and by
-    kill-style teardown. Idempotent; errors are swallowed. *)
+    platform supports it). Used by the [Refuse] and [Tear] fault sites.
+    Idempotent; errors are swallowed. *)
 
 val close : conn -> unit
 (** Close exactly once — {!tear} and [close] after either is a no-op,
@@ -86,11 +76,12 @@ val serve_connections :
     reconnecting client cannot re-draw the schedule that tore its first
     connection) are applied on the response path. [max_conns = 0]
     (default) accepts until [stopping] turns true — flip the flag, then
-    {!wake} the listener to pop the blocked accept. Closes the
-    listening socket on exit (unless it was already closed under the
-    loop, which is also detected and treated as a stop).
+    {!wake} the listener to pop the blocked accept. Once [stopping]
+    holds, the open connection stops reading as well: its next read, or
+    one a signal interrupts, is EOF, and its service drains and
+    reports. Closes the listening socket on exit (unless it was already
+    closed under the loop, which is also detected and treated as a
+    stop).
 
-    Note each connection is a fresh service instance: worker-side stats
-    and cache reset per connection. A respawned or reconnected shard
-    therefore restarts its counters at zero — the coordinator's merge
-    layer must tolerate that (see {!Obs.Counters.merge_snapshots}). *)
+    Note each connection is a fresh service instance: its stats and
+    cache start empty, and [on_report] gets that connection's report. *)

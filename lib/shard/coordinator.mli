@@ -44,10 +44,9 @@
 
     {2 Failure model and self-healing}
 
-    Worker loss surfaces as EOF on the shard's pipe (or a TCP client
-    whose reconnect budget ran out), as a failed submit, or as
-    [dead_after] consecutive missed heartbeats — whichever is observed
-    first. The loss is routed through the {!Supervisor}: the slot is
+    Worker loss surfaces as EOF on the shard's pipe, as a failed
+    submit, or as [dead_after] consecutive missed heartbeats — whichever
+    is observed first. The loss is routed through the {!Supervisor}: the slot is
     {e fenced} (its epoch bumped), every request in flight there is
     reclaimed by ticket and re-dispatched to survivors (up to [retries]
     times each, paced by {!Suu_service.Fault.backoff_s}), and the
@@ -145,9 +144,13 @@ val serve :
     every outstanding response, wait for any in-flight healing to
     settle, then shut the fleet down gracefully (EOF, drain, join —
     zombies included) and report. [spawn] decides the worker flavour:
-    {!Client.process} or {!Client.tcp_process} for real worker
-    processes (the CLI), {!Client.local} or {!Client.tcp} for
-    in-process or in-test workers. *)
+    {!Client.process} for real worker processes over pipes (the CLI),
+    {!Client.local} for in-process workers (tests and benchmarks).
+
+    Every shard is a local child: the coordinator takes no peer
+    addresses. Remote shards would need a peer list and a design of
+    their own (dialling, reconnect and who respawns a lost peer); a
+    single remote worker is reachable today as [suu serve --listen]. *)
 
 val run_lines :
   config -> spawn:(int -> Client.t) -> string list -> string list * report

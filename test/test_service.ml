@@ -1678,6 +1678,271 @@ let test_service_chaos_any_seed () =
                line))
     out
 
+(* --- TCP listener (suu serve --listen) --- *)
+
+module Tcp = Suu_service.Tcp
+
+(* A listener on a kernel-picked port, served from its own domain. The
+   domain returns the report of every connection that ran a service. *)
+type listener = {
+  addr : string;
+  stop : bool Atomic.t;
+  finished : bool Atomic.t;
+  srv : Service.report list Domain.t;
+}
+
+let start_listener ?max_conns cfg =
+  (* A torn socket must raise EPIPE at either end, not kill the run. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  match Tcp.listen "127.0.0.1:0" with
+  | Error e -> failwith e
+  | Ok (lsock, addr) ->
+      let stop = Atomic.make false and finished = Atomic.make false in
+      let srv =
+        Domain.spawn (fun () ->
+            let reports = ref [] in
+            Tcp.serve_connections ?max_conns
+              ~stopping:(fun () -> Atomic.get stop)
+              ~on_report:(fun r -> reports := r :: !reports)
+              cfg lsock;
+            Atomic.set finished true;
+            List.rev !reports)
+      in
+      { addr; stop; finished; srv }
+
+let stop_listener l =
+  Atomic.set l.stop true;
+  Tcp.wake l.addr;
+  Domain.join l.srv
+
+(* Poll for up to 10 s. *)
+let wait_until cond =
+  let rec go k = cond () || (k > 0 && (Unix.sleepf 0.01; go (k - 1))) in
+  go 1000
+
+(* The client side is a plain socket with the same line framing. *)
+let dial addr =
+  match Tcp.parse_addr addr with
+  | Error e -> failwith e
+  | Ok (host, port) ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (host, port));
+      (fd, Tcp.conn_of_fd fd)
+
+(* Pipelined: send every frame, half-close, then read answers until EOF
+   or a reset. *)
+let exchange addr frames =
+  let fd, c = dial addr in
+  (try
+     List.iter (Tcp.send_line c) frames;
+     Unix.shutdown fd Unix.SHUTDOWN_SEND
+   with Unix.Unix_error _ -> ());
+  let rec read acc =
+    match Tcp.recv_line c with
+    | Some line -> read (line :: acc)
+    | None | (exception Unix.Unix_error _) -> List.rev acc
+  in
+  let got = read [] in
+  Tcp.close c;
+  got
+
+let listener_solves n =
+  List.init n (fun k ->
+      Printf.sprintf
+        {|{"op":"solve","id":"r%d","trials":8,"seed":%d,"instance":"%s"}|} k
+        (k + 1) (escaped instance_text))
+
+let test_listener_round_trip () =
+  (* A repeat (a cache hit), a malformed line and an info: every answer
+     matches a stdio-style run byte for byte. Each connection is a fresh
+     service, so a second one answers the same bytes, cache flags too. *)
+  let lines =
+    listener_solves 3
+    @ [
+        List.hd (listener_solves 1);
+        "garbage";
+        Printf.sprintf {|{"op":"info","id":"i","instance":"%s"}|}
+          (escaped chain_text);
+      ]
+  in
+  let want, _ = Service.run_lines (config ~workers:1) lines in
+  let l = start_listener (config ~workers:1) in
+  let first = exchange l.addr lines in
+  let second = exchange l.addr lines in
+  let reports = stop_listener l in
+  Alcotest.(check (list string)) "first connection" want first;
+  Alcotest.(check (list string)) "second connection" want second;
+  Alcotest.(check int) "one report per connection" 2 (List.length reports)
+
+let test_listener_max_conns () =
+  let l = start_listener ~max_conns:1 (config ~workers:1) in
+  let got = exchange l.addr (listener_solves 2) in
+  let returned = wait_until (fun () -> Atomic.get l.finished) in
+  let reports = stop_listener l in
+  Alcotest.(check int) "both answered" 2 (List.length got);
+  Alcotest.(check bool) "returned after one connection" true returned;
+  Alcotest.(check int) "one report" 1 (List.length reports)
+
+let test_listener_tear () =
+  (* Lockstep, one request in flight: the connection dies at the first
+     response whose key draws [Tear], and every answer before it arrives
+     whole. *)
+  let fault = { Fault.none with seed = 3; tear = 0.35 } in
+  let n = 10 in
+  let torn_at =
+    List.find (fun k -> Fault.fires fault Fault.Tear ~key:k) (List.init n Fun.id)
+  in
+  Alcotest.(check bool) "the schedule tears mid-stream" true (torn_at > 0);
+  let lines = listener_solves n in
+  let want, _ = Service.run_lines (config ~workers:1) lines in
+  let l = start_listener { (config ~workers:1) with Service.fault } in
+  let _, c = dial l.addr in
+  let rec ask acc = function
+    | [] -> List.rev acc
+    | line :: rest -> (
+        match
+          Tcp.send_line c line;
+          Tcp.recv_line c
+        with
+        | Some answer -> ask (answer :: acc) rest
+        | None | (exception Unix.Unix_error _) -> List.rev acc)
+  in
+  let got = ask [] lines in
+  Tcp.close c;
+  ignore (stop_listener l);
+  Alcotest.(check (list string)) "answers before the tear"
+    (List.filteri (fun k _ -> k < torn_at) want)
+    got
+
+let test_listener_sock_stall () =
+  (* Stalled writes arrive late but whole: the bytes match, and the wall
+     clock covers every stall the schedule draws. *)
+  let fault =
+    { Fault.none with seed = 7; sock_stall = 0.5; sock_stall_ms = 20. }
+  in
+  let n = 6 in
+  let stalls =
+    List.length
+      (List.filter
+         (fun k -> Fault.fires fault Fault.Sock_stall ~key:k)
+         (List.init n Fun.id))
+  in
+  Alcotest.(check bool) "the schedule stalls" true (stalls > 0);
+  let lines = listener_solves n in
+  let want, _ = Service.run_lines (config ~workers:1) lines in
+  let l = start_listener { (config ~workers:1) with Service.fault } in
+  let t0 = Unix.gettimeofday () in
+  let got = exchange l.addr lines in
+  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  ignore (stop_listener l);
+  Alcotest.(check (list string)) "stalled answers" want got;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f ms covers %d stalls of 20 ms" elapsed_ms stalls)
+    true
+    (elapsed_ms >= float_of_int stalls *. 20.)
+
+let test_listener_refuse () =
+  (* Every connection is torn right after accept: no answer, no service
+     run, and the refused connection still counts toward [max_conns]. *)
+  let fault = { Fault.none with seed = 1; refuse = 1.0 } in
+  let l = start_listener ~max_conns:1 { (config ~workers:1) with Service.fault } in
+  let got = exchange l.addr (listener_solves 1) in
+  let returned = wait_until (fun () -> Atomic.get l.finished) in
+  let reports = stop_listener l in
+  Alcotest.(check (list string)) "no answer" [] got;
+  Alcotest.(check bool) "returned after the refused connection" true returned;
+  Alcotest.(check int) "no service ran" 0 (List.length reports)
+
+let test_listener_crlf () =
+  (* The framing strips a CR before the LF, and only there. JSON reads a
+     stray CR as whitespace, so check the frames directly first. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let frames = "one\r\ntwo\nth\rree\r\n\r\n" in
+  ignore (Unix.write_substring a frames 0 (String.length frames));
+  Unix.close a;
+  let c = Tcp.conn_of_fd b in
+  let rec read acc =
+    match Tcp.recv_line c with Some l -> read (l :: acc) | None -> List.rev acc
+  in
+  Alcotest.(check (list string)) "frames" [ "one"; "two"; "th\rree"; "" ]
+    (read []);
+  Tcp.close c;
+  let lines = listener_solves 2 @ [ {|{"op":"ping","id":"p"}|} ] in
+  let want, _ = Service.run_lines (config ~workers:1) lines in
+  let l = start_listener (config ~workers:1) in
+  let got =
+    exchange l.addr (List.mapi (fun k x -> if k = 1 then x else x ^ "\r") lines)
+  in
+  ignore (stop_listener l);
+  Alcotest.(check (list string)) "CRLF and LF frames answer alike" want got
+
+let test_listener_long_line () =
+  (* A ~1.3 MB info line spans hundreds of socket reads; the short line
+     behind it shares the last read. *)
+  let module W = Suu_workloads.Workload in
+  let inst =
+    (W.grid_batch (Suu_prob.Rng.create 1) ~n:1024 ~m:64).W.instance
+  in
+  let lines =
+    [
+      Printf.sprintf {|{"op":"info","id":"big","instance":"%s"}|}
+        (escaped (Suu_harness.Io.to_string inst));
+      {|{"op":"ping","id":"p"}|};
+    ]
+  in
+  Alcotest.(check bool) "longer than 256 reads" true
+    (String.length (List.hd lines) > 256 * 4096);
+  let want, _ = Service.run_lines (config ~workers:1) lines in
+  let l = start_listener (config ~workers:1) in
+  let got = exchange l.addr lines in
+  ignore (stop_listener l);
+  Alcotest.(check (list string)) "same bytes as run_lines" want got
+
+let test_listener_stop_ends_open_connection () =
+  (* The listener runs on this thread, as under suu serve --listen. The
+     client gets one answer, keeps its connection open and idle, and
+     flips [stopping]; a signal then interrupts the blocked read, which
+     must read as EOF. The client signals until the listener returns,
+     and closes its socket after 5 s, so a regression fails instead of
+     hanging. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let lsock, addr =
+    match Tcp.listen "127.0.0.1:0" with Ok x -> x | Error e -> failwith e
+  in
+  let stop = Atomic.make false and finished = Atomic.make false in
+  let prev = Sys.signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> ())) in
+  let client =
+    Domain.spawn (fun () ->
+        let _, c = dial addr in
+        Tcp.send_line c (List.hd (listener_solves 1));
+        let answer = Tcp.recv_line c in
+        Atomic.set stop true;
+        let rec nudge k =
+          if k > 0 && not (Atomic.get finished) then begin
+            Unix.kill (Unix.getpid ()) Sys.sigusr1;
+            Unix.sleepf 0.05;
+            nudge (k - 1)
+          end
+        in
+        nudge 100;
+        let ended = Atomic.get finished in
+        Tcp.close c;
+        (answer, ended))
+  in
+  let reports = ref 0 in
+  Tcp.serve_connections
+    ~stopping:(fun () -> Atomic.get stop)
+    ~on_report:(fun _ -> incr reports)
+    (config ~workers:1) lsock;
+  Atomic.set finished true;
+  let answer, ended = Domain.join client in
+  Sys.set_signal Sys.sigusr1 prev;
+  Alcotest.(check (option string)) "answered before the stop" (Some "ok")
+    (Option.bind answer status);
+  Alcotest.(check bool) "returned while the client held the connection"
+    true ended;
+  Alcotest.(check int) "the connection's service reported" 1 !reports
+
 let () =
   Alcotest.run "service"
     [
@@ -1806,5 +2071,22 @@ let () =
             test_policy_cache_result_cache_off;
           Alcotest.test_case "33 instances evict the first" `Quick
             test_policy_cache_eviction;
+        ] );
+      ( "listener",
+        [
+          Alcotest.test_case "round trip = run_lines" `Quick
+            test_listener_round_trip;
+          Alcotest.test_case "max_conns 1 returns" `Quick
+            test_listener_max_conns;
+          Alcotest.test_case "tear keeps the answers before it" `Quick
+            test_listener_tear;
+          Alcotest.test_case "sock_stall delays, bytes intact" `Quick
+            test_listener_sock_stall;
+          Alcotest.test_case "refuse tears before any service" `Quick
+            test_listener_refuse;
+          Alcotest.test_case "CRLF frames" `Quick test_listener_crlf;
+          Alcotest.test_case "long line" `Quick test_listener_long_line;
+          Alcotest.test_case "stop ends an open connection" `Quick
+            test_listener_stop_ends_open_connection;
         ] );
     ]

@@ -6,15 +6,14 @@
    order, worker loss degrades instead of hanging, and (new in the
    self-healing fleet) killed shards respawn, rejoin the ring, and their
    late zombie answers are fenced off by epoch. The coordinator suite
-   runs twice: once over in-process pipe workers and once over in-test
-   TCP workers, so both transports carry the same contract. *)
+   runs over in-process workers ([Client.local]); the listener side of
+   TCP is tested directly in test_service. *)
 
 module Ring = Suu_shard.Ring
 module Dispatch = Suu_shard.Dispatch
 module Client = Suu_shard.Client
 module Coordinator = Suu_shard.Coordinator
 module Service = Suu_service.Service
-module Tcp = Suu_service.Tcp
 module Json = Suu_service.Json
 module Fault = Suu_service.Fault
 module Request = Suu_service.Request
@@ -49,9 +48,9 @@ let field name line =
   | Error _ -> None
 
 (* A repeat can be a cache hit on its owning shard but a miss in a
-   single service's (shared) cache — and a respawned or reconnected
-   worker restarts its cache cold — so the cached flag is the one field
-   byte-identity comparisons may scrub. Everything else, including
+   single service's (shared) cache — and a respawned worker restarts
+   its cache cold — so the cached flag is the one field byte-identity
+   comparisons may scrub. Everything else, including
    every float, must match to the byte. *)
 let scrub line =
   let needle = {|"cached":true|} in
@@ -88,31 +87,6 @@ let worker_config =
   }
 
 let spawn_local i = Client.local ~id:i worker_config
-
-(* An in-test TCP worker: a listener on a kernel-picked port, one
-   serving domain, and the client's connecting side dialled at it. One
-   connection per worker is enough here (faults that force reconnects
-   get their own servers below); the server exits once its connection
-   drains, and reap joins the domain. *)
-let spawn_tcp i =
-  match Tcp.listen "127.0.0.1:0" with
-  | Error e -> failwith e
-  | Ok (lsock, addr) ->
-      let srv =
-        Domain.spawn (fun () ->
-            Tcp.serve_connections ~max_conns:1
-              ~on_report:(fun _ -> ())
-              worker_config lsock)
-      in
-      let p = Client.tcp_peer ~addr () in
-      Client.custom ~id:i
-        {
-          p with
-          Client.reap =
-            (fun () ->
-              p.Client.reap ();
-              Domain.join srv);
-        }
 
 let coord_config ~shards =
   {
@@ -633,163 +607,6 @@ let test_coordinator_fences_zombie_answers () =
   Alcotest.(check int) "survivor still standing" 1
     report.Coordinator.shards_live
 
-(* --- TCP transport: reconnect, refuse, stall --- *)
-
-let tcp_server cfg =
-  match Tcp.listen "127.0.0.1:0" with
-  | Error e -> failwith e
-  | Ok (lsock, addr) ->
-      let stop = Atomic.make false in
-      let srv =
-        Domain.spawn (fun () ->
-            Tcp.serve_connections
-              ~stopping:(fun () -> Atomic.get stop)
-              ~on_report:(fun _ -> ())
-              cfg lsock)
-      in
-      (stop, addr, srv)
-
-let stop_tcp_server (stop, addr, srv) =
-  (* Flip the flag, then pop the blocked accept with a wake dial. *)
-  Atomic.set stop true;
-  Tcp.wake addr;
-  Domain.join srv
-
-(* Submit every line and block until each callback has fired. *)
-let collect client lines =
-  let n = List.length lines in
-  let out = Array.make n None in
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let fired = ref 0 in
-  let bump () =
-    Mutex.lock m;
-    incr fired;
-    Condition.broadcast cv;
-    Mutex.unlock m
-  in
-  List.iteri
-    (fun k line ->
-      let accepted =
-        Client.submit client line (fun r ->
-            out.(k) <- r;
-            bump ())
-      in
-      if not accepted then bump ())
-    lines;
-  Mutex.lock m;
-  while !fired < n do
-    Condition.wait cv m
-  done;
-  Mutex.unlock m;
-  Array.to_list out
-
-let test_tcp_reconnect_resends () =
-  (* A worker whose responses tear the connection mid-stream: the
-     client must shut the torn socket down, back off, dial again and
-     replay every unanswered line — and because workers recompute
-     deterministically, the final stream is byte-identical to an
-     unfaulted single service. Tear keys continue across connections,
-     so the replay cannot re-draw the schedule that tore it. *)
-  let faulty =
-    {
-      worker_config with
-      Service.fault = { Fault.none with seed = 3; tear = 0.35 };
-    }
-  in
-  let server = tcp_server faulty in
-  let _, addr, _ = server in
-  let client =
-    Client.tcp ~id:0 ~reconnects:10 ~backoff_ms:0.2 ~addr ()
-  in
-  let n = 10 in
-  let lines =
-    List.init n (fun k ->
-        solve ~trials:8 ~seed:(k + 1) (Printf.sprintf "r%d" k))
-  in
-  let single, _ = Service.run_lines worker_config lines in
-  let got = collect client lines in
-  List.iteri
-    (fun k r ->
-      match r with
-      | Some line ->
-          Alcotest.(check string)
-            (Printf.sprintf "replayed response %d byte-identical" k)
-            (scrub (List.nth single k))
-            (scrub line)
-      | None -> Alcotest.failf "response %d lost despite reconnects" k)
-    got;
-  Client.close_input client;
-  Client.join client;
-  stop_tcp_server server
-
-let test_tcp_refuse_exhausts_budget () =
-  (* Every accepted connection is torn immediately: reconnects burn the
-     whole budget, the peer reports EOF and the outstanding callback
-     fires with None — the same uniform loss signal as a killed pipe
-     worker. *)
-  let refusing =
-    {
-      worker_config with
-      Service.fault = { Fault.none with seed = 1; refuse = 1.0 };
-    }
-  in
-  let server = tcp_server refusing in
-  let _, addr, _ = server in
-  (* The RST can race into the initial dial itself; that raises (a
-     failed spawn, charged to the respawn budget, not the reconnect
-     budget) — retry until a dial survives long enough to be a
-     connection. *)
-  let rec dial tries =
-    match Client.tcp ~id:0 ~reconnects:2 ~backoff_ms:0.2 ~addr () with
-    | client -> client
-    | exception (Unix.Unix_error _ | Failure _) when tries > 0 ->
-        dial (tries - 1)
-  in
-  let client = dial 50 in
-  let got = collect client [ solve ~trials:8 ~seed:1 "r0" ] in
-  Alcotest.(check bool) "the lone callback fired with None" true
-    (got = [ None ]);
-  Alcotest.(check bool) "client reports dead" false (Client.alive client);
-  Client.join client;
-  stop_tcp_server server
-
-let test_tcp_stall_does_not_corrupt () =
-  (* Sock_stall delays response writes without killing them: with no
-     read timeout armed the client just waits, and the stream stays
-     byte-identical. (The timeout-driven give-up path is exercised by
-     the refuse test above without depending on wall-clock margins.) *)
-  let stalling =
-    {
-      worker_config with
-      Service.fault =
-        { Fault.none with seed = 7; sock_stall = 0.5; sock_stall_ms = 2. };
-    }
-  in
-  let server = tcp_server stalling in
-  let _, addr, _ = server in
-  let client = Client.tcp ~id:0 ~addr () in
-  let n = 6 in
-  let lines =
-    List.init n (fun k ->
-        solve ~trials:8 ~seed:(k + 1) (Printf.sprintf "r%d" k))
-  in
-  let single, _ = Service.run_lines worker_config lines in
-  let got = collect client lines in
-  List.iteri
-    (fun k r ->
-      match r with
-      | Some line ->
-          Alcotest.(check string)
-            (Printf.sprintf "stalled response %d byte-identical" k)
-            (scrub (List.nth single k))
-            (scrub line)
-      | None -> Alcotest.failf "response %d lost to a stall" k)
-    got;
-  Client.close_input client;
-  Client.join client;
-  stop_tcp_server server
-
 (* --- Fleet identity over generated lines --- *)
 
 (* The coordinator routes on raw text and answers only what fails before
@@ -1017,7 +834,6 @@ let () =
             test_merge_partial_trials_field;
         ] );
       ("coordinator", coordinator_cases spawn_local);
-      ("coordinator-tcp", coordinator_cases spawn_tcp);
       ( "fleet identity",
         [
           Alcotest.test_case "forwards a malformed instance unparsed" `Quick
@@ -1028,14 +844,5 @@ let () =
         [
           Alcotest.test_case "zombie answers discarded at the fence" `Quick
             test_coordinator_fences_zombie_answers;
-        ] );
-      ( "tcp",
-        [
-          Alcotest.test_case "reconnect replays unanswered lines" `Quick
-            test_tcp_reconnect_resends;
-          Alcotest.test_case "refused connections exhaust the budget" `Quick
-            test_tcp_refuse_exhausts_budget;
-          Alcotest.test_case "stalls delay but do not corrupt" `Quick
-            test_tcp_stall_does_not_corrupt;
         ] );
     ]
