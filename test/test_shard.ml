@@ -607,6 +607,88 @@ let test_coordinator_fences_zombie_answers () =
   Alcotest.(check int) "survivor still standing" 1
     report.Coordinator.shards_live
 
+(* --- Client contract: every admitted callback fires exactly once --- *)
+
+(* A callback recorder: [fire k] is the callback for request [k]; the
+   result is every (k, answer) in firing order. *)
+let recorder () =
+  let m = Mutex.create () in
+  let fired = ref [] in
+  let fire k answer =
+    Mutex.lock m;
+    fired := (k, answer) :: !fired;
+    Mutex.unlock m
+  in
+  let got () =
+    Mutex.lock m;
+    let l = List.rev !fired in
+    Mutex.unlock m;
+    l
+  in
+  (fire, got)
+
+let test_client_graceful_close () =
+  let c = spawn_local 0 in
+  let fire, got = recorder () in
+  let n = 5 in
+  for k = 0 to n - 1 do
+    Alcotest.(check bool) "live client admits" true
+      (Client.submit c
+         (solve ~trials:8 ~seed:(k + 1) (Printf.sprintf "c%d" k))
+         (fire k))
+  done;
+  Client.close_input c;
+  Client.join c;
+  let answers = got () in
+  Alcotest.(check (list int)) "each callback once, in request order"
+    (List.init n Fun.id) (List.map fst answers);
+  List.iter
+    (fun (k, answer) ->
+      match answer with
+      | None -> Alcotest.failf "request %d admitted but never answered" k
+      | Some line ->
+          Alcotest.(check (option string)) "answer is ok" (Some "ok")
+            (status line);
+          Alcotest.(check (option string)) "answer pairs with its request"
+            (Some (Printf.sprintf "c%d" k))
+            (Option.bind (field "id" line) Json.to_str))
+    answers;
+  Alcotest.(check bool) "dead after EOF" false (Client.alive c);
+  let late = ref false in
+  Alcotest.(check bool) "closed client refuses" false
+    (Client.submit c (solve "late") (fun _ -> late := true));
+  Alcotest.(check bool) "refused callback never fires" false !late
+
+let test_client_kill_drains () =
+  (* A peer that accepts lines and never answers: only the kill ends
+     the reader, which must drain every pending callback with [None]. *)
+  let out_chan = Zchan.create () in
+  let c =
+    Client.custom ~id:0
+      {
+        Client.send_line = (fun _ -> ());
+        recv_line = (fun () -> Zchan.pop out_chan);
+        kill_peer = (fun () -> Zchan.close out_chan);
+        close_input = (fun () -> Zchan.close out_chan);
+        reap = (fun () -> ());
+      }
+  in
+  let fire, got = recorder () in
+  for k = 0 to 2 do
+    ignore (Client.submit c (solve (Printf.sprintf "k%d" k)) (fire k))
+  done;
+  Client.kill c;
+  Client.kill c;
+  Client.join c;
+  Alcotest.(check (list (pair int (option string))))
+    "every pending callback drained once with None, oldest first"
+    [ (0, None); (1, None); (2, None) ]
+    (got ());
+  Alcotest.(check bool) "killed client refuses" false
+    (Client.submit c (solve "late") (fire 3));
+  Alcotest.(check int) "refused callback never fires" 3
+    (List.length (got ()))
+
 (* --- Fleet identity over generated lines --- *)
 
 (* The coordinator routes on raw text and answers only what fails before
@@ -844,5 +926,12 @@ let () =
         [
           Alcotest.test_case "zombie answers discarded at the fence" `Quick
             test_coordinator_fences_zombie_answers;
+        ] );
+      ( "client contract",
+        [
+          Alcotest.test_case "graceful close answers admitted work" `Quick
+            test_client_graceful_close;
+          Alcotest.test_case "kill drains pending callbacks" `Quick
+            test_client_kill_drains;
         ] );
     ]
