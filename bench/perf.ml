@@ -64,6 +64,7 @@ let tests () =
   let tiny = indep_instance 8 2 in
   (* The served wire layer on the same instance: one 1-trial solve line
      as a client sends it, decoded (JSON, instance text) and keyed. *)
+  let inst64_text = Suu_harness.Io.to_string inst64 in
   let wire_line =
     Suu_service.Json.(
       to_string
@@ -74,7 +75,7 @@ let tests () =
              ("algo", Str "adaptive");
              ("trials", int 1);
              ("seed", int 3);
-             ("instance", Str (Suu_harness.Io.to_string inst64));
+             ("instance", Str inst64_text);
            ]))
   in
   let decode () =
@@ -127,6 +128,9 @@ let tests () =
       (Staged.stage (fun () ->
            Suu_core.Instance.sorted_pairs
              (Suu_core.Instance.create ~p:pairs_p ~dag:pairs_dag)));
+    (* The instance-text layer of that decode on its own. *)
+    Test.make ~name:"Io.of_string (n=64 m=16)"
+      (Staged.stage (fun () -> Suu_harness.Io.of_string inst64_text));
     Test.make ~name:"Request.of_line (wire line n=64 m=16)"
       (Staged.stage decode);
     Test.make ~name:"Request.cache_key (n=64 m=16)"

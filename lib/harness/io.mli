@@ -25,10 +25,21 @@ val load : string -> Suu_core.Instance.t
 val to_string : Suu_core.Instance.t -> string
 
 val of_string : string -> Suu_core.Instance.t
-(** Parse in one pass over the text, numbers straight into the rows.
-    Counts read from the header are checked against the length of the
-    rest of the text before anything of their size is allocated.
+(** Parse in one pass over the text, numbers converted in place straight
+    into the rows, each exactly as [float_of_string_opt] or
+    [int_of_string_opt] reads its token (see {!float_of_token}). Counts
+    read from the header are checked against the length of the rest of
+    the text before anything of their size is allocated; a zero-job
+    header may not claim more machines than the text has bytes.
     @raise Failure ["Io.read: ..."] on malformed input. *)
+
+val float_of_token : string -> float option
+(** The float converter of {!of_string}, on a whole string: the same
+    answer as [float_of_string_opt], bit for bit, on every string. Text
+    in [[+-]d+[.d*][(e|E)[+-]d+]] with at most 18 significant digits is
+    converted exactly in place (Clinger's fast path, else Eisel-Lemire
+    over a 128-bit power-of-ten table); everything else, and every case
+    those cannot decide, goes to [float_of_string_opt]. *)
 
 val digest : Suu_core.Instance.t -> string
 (** Hex MD5 of a framed binary image of the instance: [n], [m], the edge

@@ -134,7 +134,15 @@ let test_io_rejects_hostile_sizes () =
   (* The edge list swallows "probs"; the pair after it is read second
      token first, as the token-list parser always did. *)
   bad ~msg:"Io.read: bad int 0.5"
-    "suu 1\nn 2 m 1\nedges 4611686018427387903\n0 1\nprobs\n0.5 0.5"
+    "suu 1\nn 2 m 1\nedges 4611686018427387903\n0 1\nprobs\n0.5 0.5";
+  (* A zero-job instance holds no probabilities, so the text bounds its
+     machine count instead: no more machines than the text has bytes. *)
+  bad ~msg:"Io.read: bad machine count" "suu 1\nn 0 m 10000000\nedges 0\nprobs\n";
+  bad ~msg:"Io.read: bad machine count"
+    "suu 1\nn 0 m 4611686018427387903\nedges 0\nprobs\n";
+  let zero = Io.of_string "suu 1\nn 0 m 3\nedges 0\nprobs" in
+  Alcotest.(check (pair int int)) "small zero-job instance" (0, 3)
+    (Instance.n zero, Instance.m zero)
 
 (* --- the token-list parser the scanner replaced, kept as an oracle --- *)
 
@@ -170,7 +178,8 @@ module Oracle = struct
     | "suu" :: "1" :: "n" :: n :: "m" :: m :: "edges" :: ecount :: rest ->
         let n = int_of n and m = int_of m and ecount = int_of ecount in
         if n < 0 then fail "bad job count";
-        if m < 1 then fail "bad machine count";
+        if m < 1 || (n = 0 && m > String.length s) then
+          fail "bad machine count";
         if ecount < 0 then fail "bad edge count";
         let rec take_edges k acc rest =
           if k = 0 then (List.rev acc, rest)
@@ -283,6 +292,23 @@ let agree ~what ~same parse oracle input =
       Alcotest.failf "%s: scanner said %S on %S, oracle accepted" what msg
         input
 
+let agree_instance =
+  agree ~what:"instance"
+    ~same:(fun a b -> Io.digest a = Io.digest b && instances_equal a b)
+    Io.of_string Oracle.instance_of_string
+
+(* The four families a served benchmark request carries, at its size. *)
+let served_instances rng =
+  let module W = Suu_workloads.Workload in
+  List.map
+    (fun f -> (f (Rng.split rng) ~n:64 ~m:16).W.instance)
+    [
+      W.grid_batch;
+      W.grid_workflow ~stages:8;
+      W.grid_divide;
+      W.project;
+    ]
+
 let test_io_differential () =
   let rng = Rng.create 2007 in
   let module Gen = Suu_check.Gen in
@@ -290,16 +316,214 @@ let test_io_differential () =
     let sizes = if k mod 2 = 0 then Gen.small else Gen.default in
     let case = Gen.case (Rng.split rng) sizes in
     let inst = Suu_check.Case.instance case in
-    List.iter
-      (agree ~what:"instance"
-         ~same:(fun a b -> Io.digest a = Io.digest b && instances_equal a b)
-         Io.of_string Oracle.instance_of_string)
-      (damaged_variants rng (Io.to_string inst));
+    List.iter agree_instance (damaged_variants rng (Io.to_string inst));
     List.iter
       (agree ~what:"plan" ~same:schedules_equal Io.schedule_of_string
          Oracle.schedule_of_string)
       (damaged_variants rng
          (Io.schedule_to_string (Gen.oblivious (Rng.split rng) case)))
+  done;
+  for _ = 1 to 3 do
+    List.iter
+      (fun inst ->
+        List.iter agree_instance (damaged_variants rng (Io.to_string inst)))
+      (served_instances rng)
+  done
+
+(* --- the float converter against float_of_string_opt --- *)
+
+let same_float_answer a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+let check_float_token s =
+  let show = function Some x -> Printf.sprintf "%h" x | None -> "None" in
+  let got = Io.float_of_token s and want = float_of_string_opt s in
+  if not (same_float_answer got want) then
+    Alcotest.failf "float_of_token %S: %s, float_of_string_opt: %s" s
+      (show got) (show want)
+
+let fixed_float_tokens =
+  [
+    "9007199254740991"; "9007199254740992"; "9007199254740993";
+    "9007199254740995"; "-9007199254740993"; "1e23"; "8.5e22"; "9e22";
+    "1.7976931348623157e308"; "1.7976931348623158e308";
+    "1.7976931348623158079e308"; "1.797693134862315807937289714053e308";
+    "1.7976931348623159e308"; "2.2250738585072014e-308";
+    "2.2250738585072011e-308"; "2.2250738585072012e-308";
+    "4.9406564584124654e-324"; "5e-324"; "2.4703282292062327e-324";
+    "2.4703282292062328e-324"; "1e-400"; "1e400"; "0e999999";
+    "-0"; "-0.0"; "+0"; "0"; "000"; "1."; "-1."; ".5"; "-.5"; "1.e5"; "1e";
+    "1e+"; "1e-"; "1E5"; "1e05"; "0x1p3"; "0X10"; "1_0"; "1_000.5"; "nan";
+    "-nan"; "NaN"; "inf"; "-inf"; "infinity"; "0.5\r"; "1\r"; "\r1"; " 1";
+    "1 "; "1 2"; "1#"; "#1"; ""; "+"; "-"; "."; "e5"; "+-1"; "1.5.3";
+    "1e5e5"; "1e+-5"; "1234567890123456789"; "12345678901234567890";
+    "123456789012345678"; "0.12345678901234567890123";
+    "12345678901234567890e-5"; "100000000000000000000000000000";
+    "0.000000000000000000000000000001"; "00000000000000000000000000001";
+    "0.30000000000000004"; "0.1"; "0.2"; "0.3"; "1e22"; "1e-22"; "123e-22";
+    "9007199254740992e22"; "4503599627370497.5"; "1\0002"; "\xff";
+  ]
+
+(* At least 10^6 strings: random doubles (uniform bit patterns, uniform
+   (0,1), and ldexp-scaled into the subnormal range) in five printf
+   spellings, and random digit strings of 1-25 digits with a random
+   point, sign and exponent. *)
+let test_float_of_token_exact () =
+  List.iter check_float_token fixed_float_tokens;
+  let rng = Rng.create 53 in
+  let cases = ref (List.length fixed_float_tokens) in
+  let check s =
+    check_float_token s;
+    incr cases
+  in
+  let buf = Buffer.create 64 in
+  for k = 1 to 170_000 do
+    let x =
+      match k mod 3 with
+      | 0 -> Int64.float_of_bits (Rng.int64 rng)
+      | 1 -> Rng.float rng
+      | _ -> Float.ldexp (Rng.float rng) (-1000 - Rng.int rng 80)
+    in
+    check (Printf.sprintf "%.17g" x);
+    check (Printf.sprintf "%.16g" x);
+    check (Printf.sprintf "%.15g" x);
+    check (Printf.sprintf "%.3g" x);
+    check (Printf.sprintf "%.18e" x);
+    Buffer.clear buf;
+    (match Rng.int rng 3 with
+    | 0 -> Buffer.add_char buf '-'
+    | 1 -> Buffer.add_char buf '+'
+    | _ -> ());
+    let digits = 1 + Rng.int rng 25 in
+    let point = Rng.int rng (digits + 2) in
+    for d = 0 to digits - 1 do
+      if d = point then Buffer.add_char buf '.';
+      Buffer.add_char buf (Char.chr (48 + Rng.int rng 10))
+    done;
+    if point = digits then Buffer.add_char buf '.';
+    if Rng.bool rng then
+      Buffer.add_string buf
+        (Printf.sprintf "%c%d"
+           (if Rng.bool rng then 'e' else 'E')
+           (Rng.int rng 801 - 400));
+    check (Buffer.contents buf)
+  done;
+  Alcotest.(check bool) "at least 10^6 strings" true (!cases >= 1_000_000)
+
+(* Exact naturals, little-endian base-2^24 limbs, enough to check the
+   power-of-ten table. *)
+module Nat = struct
+  let limb = 1 lsl 24
+
+  let norm a =
+    let n = ref (Array.length a) in
+    while !n > 0 && a.(!n - 1) = 0 do
+      decr n
+    done;
+    Array.sub a 0 !n
+
+  let of_int x = norm [| x land (limb - 1); (x lsr 24) land (limb - 1); x lsr 48 |]
+
+  let add a b =
+    let n = max (Array.length a) (Array.length b) + 1 in
+    let get v i = if i < Array.length v then v.(i) else 0 in
+    let r = Array.make n 0 and carry = ref 0 in
+    for i = 0 to n - 1 do
+      let t = get a i + get b i + !carry in
+      r.(i) <- t land (limb - 1);
+      carry := t lsr 24
+    done;
+    norm r
+
+  let mul a b =
+    let r = Array.make (Array.length a + Array.length b + 1) 0 in
+    Array.iteri
+      (fun i x ->
+        let carry = ref 0 in
+        Array.iteri
+          (fun j y ->
+            let t = r.(i + j) + (x * y) + !carry in
+            r.(i + j) <- t land (limb - 1);
+            carry := t lsr 24)
+          b;
+        r.(i + Array.length b) <- !carry)
+      a;
+    norm r
+
+  let pow2 k = norm (Array.init ((k / 24) + 1) (fun i -> if i = k / 24 then 1 lsl (k mod 24) else 0))
+
+  let bit_length a =
+    let n = Array.length a in
+    if n = 0 then 0
+    else
+      let top = ref a.(n - 1) and bits = ref (24 * (n - 1)) in
+      while !top > 0 do
+        incr bits;
+        top := !top lsr 1
+      done;
+      !bits
+
+  let compare a b =
+    let la = Array.length a and lb = Array.length b in
+    if la <> lb then compare la lb
+    else
+      let rec go i =
+        if i < 0 then 0
+        else if a.(i) <> b.(i) then compare a.(i) b.(i)
+        else go (i - 1)
+      in
+      go (la - 1)
+
+  (* The unsigned 128-bit value [hi * 2^64 + lo]. *)
+  let of_u128 hi lo =
+    let half w = Int64.to_int (Int64.shift_right_logical w 32) in
+    let low w = Int64.to_int (Int64.logand w 0xFFFF_FFFFL) in
+    List.fold_left
+      (fun acc x -> add (mul acc (pow2 32)) (of_int x))
+      (of_int 0)
+      [ half hi; low hi; half lo; low lo ]
+end
+
+(* Row e of the table is floor (10^e * 2^k) with the value in
+   [2^127, 2^128): check r * den <= num * 2^k < (r + 1) * den with both
+   sides scaled to integers. *)
+let test_pow10_table () =
+  let module P = Suu_harness.Pow10 in
+  Alcotest.(check int) "rows" (16 * (P.max_exp10 - P.min_exp10 + 1))
+    (String.length P.rows);
+  let row e =
+    let k = 16 * (e - P.min_exp10) in
+    (String.get_int64_be P.rows k, String.get_int64_be P.rows (k + 8))
+  in
+  (* Go's strconv detailedPowersOfTen, 1e43 and 1e-348. *)
+  Alcotest.(check bool) "1e43" true
+    (row 43 = (0xE596B7B0C643C719L, 0x6D9CCD05D0000000L));
+  Alcotest.(check bool) "1e-348" true
+    (row (-348) = (0xFA8FD5A0081C0288L, 0x1732C869CD60E453L));
+  let ten = Nat.of_int 10 and one = Nat.of_int 1 in
+  (* pow.(q) = 10^q, out to the larger of the table's two ends. *)
+  let top = max P.max_exp10 (-P.min_exp10) in
+  let pow = Array.make (top + 1) one in
+  for q = 1 to top do
+    pow.(q) <- Nat.mul pow.(q - 1) ten
+  done;
+  for e = P.min_exp10 to P.max_exp10 do
+    let hi, lo = row e in
+    let r = Nat.of_u128 hi lo in
+    if Nat.bit_length r <> 128 then Alcotest.failf "1e%d: not normalised" e;
+    let num, den, k =
+      if e >= 0 then (pow.(e), one, 128 - Nat.bit_length pow.(e))
+      else (one, pow.(-e), 127 + Nat.bit_length pow.(-e))
+    in
+    let lhs r = Nat.mul (Nat.mul r den) (Nat.pow2 (max 0 (-k))) in
+    let rhs = Nat.mul num (Nat.pow2 (max 0 k)) in
+    if
+      Nat.compare (lhs r) rhs > 0
+      || Nat.compare rhs (lhs (Nat.add r one)) >= 0
+    then Alcotest.failf "1e%d: row is not floor (10^e * 2^%d)" e k
   done
 
 (* Fixed instance: 3 jobs, 2 machines, a 0 -> 1 -> 2 chain. Its pin is
@@ -493,6 +717,9 @@ let () =
             test_io_rejects_hostile_sizes;
           Alcotest.test_case "scanner = token-list oracle" `Quick
             test_io_differential;
+          Alcotest.test_case "float converter = float_of_string_opt" `Quick
+            test_float_of_token_exact;
+          Alcotest.test_case "power-of-ten table" `Quick test_pow10_table;
           Alcotest.test_case "digest golden" `Quick test_digest_golden;
           Alcotest.test_case "digest ignores spelling" `Quick
             test_digest_spellings;

@@ -255,6 +255,88 @@ let test_request_hostile_instance () =
   bad
     {|{"op":"estimate","id":"e","plan":"suu-plan 1\nm 1\nprefix -1\ncycle 0","instance":"suu 1\nn 1 m 1\nedges 0\nprobs\n0.5"}|}
 
+(* Byte damage to served request lines: the four servebench families
+   at n=64, m=16 as solve and info lines, each hit by a chain of
+   overwrites, inserts, deletes and cuts, a third of them aimed at the
+   JSON envelope around the instance text. Every damaged line must
+   decode to a value or a structured error, in both the service's and
+   the coordinator's decoder, and never as an unexpected exception. *)
+let test_request_fuzz_served_lines () =
+  let module Rng = Suu_prob.Rng in
+  let module W = Suu_workloads.Workload in
+  let rng = Rng.create 28 in
+  let alphabet = "0123456789-+.eE \\n\"\\{}[]:,#_xnulrt" in
+  let mutate line =
+    let pick () =
+      if Rng.int rng 6 = 0 then Char.chr (Rng.int rng 256)
+      else alphabet.[Rng.int rng (String.length alphabet)]
+    in
+    let len = String.length line in
+    if len = 0 then String.make 1 (pick ())
+    else
+      let k =
+        match Rng.int rng 6 with
+        | 0 -> Rng.int rng (min len 96)
+        | 1 -> len - 1 - Rng.int rng (min len 32)
+        | _ -> Rng.int rng len
+      in
+      match Rng.int rng 4 with
+      | 0 -> String.mapi (fun i c -> if i = k then pick () else c) line
+      | 1 ->
+          String.sub line 0 k ^ String.make 1 (pick ())
+          ^ String.sub line k (len - k)
+      | 2 -> String.sub line 0 k ^ String.sub line (k + 1) (len - k - 1)
+      | _ -> String.sub line 0 k
+  in
+  let unexpected = "parse: unexpected:" in
+  let is_unexpected msg =
+    String.length msg >= String.length unexpected
+    && String.sub msg 0 (String.length unexpected) = unexpected
+  in
+  let check line =
+    let head = String.sub line 0 (min 160 (String.length line)) in
+    (match Request.of_line ~default_trials:1 ~default_seed:0 line with
+    | Error (msg, _) when is_unexpected msg ->
+        Alcotest.failf "of_line answered %S on %S..." msg head
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "of_line raised %s on %S..." (Printexc.to_string e) head);
+    match Request.route_line ~default_trials:1 ~default_seed:0 line with
+    | Request.Decoded (Error (msg, _)) when is_unexpected msg ->
+        Alcotest.failf "route_line answered %S on %S..." msg head
+    | Request.Decoded _ | Request.Forward _ -> ()
+    | exception e ->
+        Alcotest.failf "route_line raised %s on %S..." (Printexc.to_string e)
+          head
+  in
+  List.iter
+    (fun family ->
+      let text =
+        Suu_harness.Io.to_string (family (Rng.split rng) ~n:64 ~m:16).W.instance
+      in
+      List.iter
+        (fun fields ->
+          let clean =
+            Json.to_string
+              (Json.Obj (fields @ [ ("instance", Json.Str text) ]))
+          in
+          let cur = ref clean in
+          for _ = 1 to 120 do
+            cur := mutate (if Rng.int rng 3 = 0 then clean else !cur);
+            check !cur
+          done)
+        [
+          [
+            ("op", Json.Str "solve");
+            ("id", Json.Str "s");
+            ("algo", Json.Str "adaptive");
+            ("trials", Json.int 1);
+            ("seed", Json.int 7);
+          ];
+          [ ("op", Json.Str "info"); ("id", Json.Str "i") ];
+        ])
+    [ W.grid_batch; W.grid_workflow ~stages:8; W.grid_divide; W.project ]
+
 let test_request_ping_and_duplicates () =
   (match decode {|{"op":"ping","id":"p"}|} with
   | Ok { op = Request.Ping; id = Some "p"; _ } -> ()
@@ -1986,6 +2068,8 @@ let () =
           Alcotest.test_case "bad instance" `Quick test_request_bad_instance;
           Alcotest.test_case "hostile instance" `Quick
             test_request_hostile_instance;
+          Alcotest.test_case "damaged served lines" `Quick
+            test_request_fuzz_served_lines;
           Alcotest.test_case "cache keys" `Quick test_cache_key_semantics;
           Alcotest.test_case "ping + duplicates" `Quick
             test_request_ping_and_duplicates;
