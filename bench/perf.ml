@@ -63,7 +63,7 @@ let tests () =
   let obl_policy = Suu_algo.Suu_i_obl.policy inst64 in
   let tiny = indep_instance 8 2 in
   (* The served wire layer on the same instance: one 1-trial solve line
-     as a client sends it, decoded (JSON, instance text) and keyed. *)
+     as a client sends it, decoded (JSON, instance text) or routed. *)
   let inst64_text = Suu_harness.Io.to_string inst64 in
   let wire_line =
     Suu_service.Json.(
@@ -85,7 +85,6 @@ let tests () =
     | Ok req -> req
     | Error (msg, _) -> failwith msg
   in
-  let wire_req = decode () in
   (* Policy build of the guaranteed oblivious column: (LP1)/(LP2), rounding
      and delays, one row per algorithm the four families dispatch to. *)
   let oblivious_builds =
@@ -133,8 +132,13 @@ let tests () =
       (Staged.stage (fun () -> Suu_harness.Io.of_string inst64_text));
     Test.make ~name:"Request.of_line (wire line n=64 m=16)"
       (Staged.stage decode);
-    Test.make ~name:"Request.cache_key (n=64 m=16)"
-      (Staged.stage (fun () -> Suu_service.Request.cache_key wire_req));
+    (* The coordinator's whole per-line cost: JSON decode, the field
+       walk and the key, whose MD5 of the raw instance text is the
+       price a keyed request pays once. *)
+    Test.make ~name:"Request.route_line (wire line n=64 m=16)"
+      (Staged.stage (fun () ->
+           Suu_service.Request.route_line ~default_trials:1 ~default_seed:0
+             wire_line));
     Test.make ~name:"msm_alg n=64 m=16"
       (Staged.stage (fun () -> Suu_algo.Msm.assign inst64 ~jobs:jobs64));
     Test.make ~name:"msm_e_alg n=64 m=16 t=1000"

@@ -499,7 +499,7 @@ let serialize_roundtrip =
   Property.make ~name:"serialize-roundtrip"
     ~doc:
       "instance files, plan files and case repro JSON all round-trip \
-       losslessly (equal digests, bit-equal probabilities, identical \
+       losslessly (bit-equal probabilities, equal edges, identical \
        schedules)" (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
@@ -507,9 +507,7 @@ let serialize_roundtrip =
       match Io.of_string s with
       | exception Failure msg -> failf "reparse failed: %s" msg
       | inst2 ->
-          if not (String.equal (Io.digest inst) (Io.digest inst2)) then
-            Fail "digest changed across a round-trip"
-          else if not (String.equal (Io.to_string inst2) s) then
+          if not (String.equal (Io.to_string inst2) s) then
             Fail "serialisation is not idempotent"
           else if
             not

@@ -21,26 +21,54 @@ let edges t =
   done;
   !acc
 
-(* Kahn's algorithm with a min-heap replaced by scanning a ready list kept
-   sorted: deterministic smallest-first order. A sorted module-free priority
-   structure suffices here since n is moderate. *)
+(* Kahn's algorithm, smallest ready vertex first, so the order is
+   deterministic. The ready set is a binary min-heap in one array of
+   size [n]: no allocation per step. *)
 let kahn_topo n succs preds =
   let indeg = Array.map List.length preds in
-  let module IS = Set.Make (Int) in
-  let ready = ref IS.empty in
-  Array.iteri (fun v d -> if d = 0 then ready := IS.add v !ready) indeg;
+  let heap = Array.make n 0 and size = ref 0 in
+  let rec sift_up i v =
+    let parent = (i - 1) / 2 in
+    if i > 0 && heap.(parent) > v then begin
+      heap.(i) <- heap.(parent);
+      sift_up parent v
+    end
+    else heap.(i) <- v
+  in
+  let rec sift_down i v =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+    if c < !size && heap.(c) < v then begin
+      heap.(i) <- heap.(c);
+      sift_down c v
+    end
+    else heap.(i) <- v
+  in
+  let push v =
+    incr size;
+    sift_up (!size - 1) v
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    sift_down 0 heap.(!size);
+    top
+  in
+  let rec release = function
+    | [] -> ()
+    | v :: rest ->
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then push v;
+        release rest
+  in
+  Array.iteri (fun v d -> if d = 0 then push v) indeg;
   let order = Array.make n 0 in
   let k = ref 0 in
-  while not (IS.is_empty !ready) do
-    let u = IS.min_elt !ready in
-    ready := IS.remove u !ready;
+  while !size > 0 do
+    let u = pop () in
     order.(!k) <- u;
     incr k;
-    List.iter
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then ready := IS.add v !ready)
-      succs.(u)
+    release succs.(u)
   done;
   if !k < n then invalid_arg "Dag.create: graph contains a cycle";
   order
@@ -66,8 +94,10 @@ let create ~n:nv edge_list =
         incr count
       end)
     edge_list;
-  Array.iteri (fun i l -> succs.(i) <- List.sort compare l) succs;
-  Array.iteri (fun i l -> preds.(i) <- List.sort compare l) preds;
+  (* [List.sort] allocates its merge closures even on a short list. *)
+  let sort = function ([] | [ _ ]) as l -> l | l -> List.sort compare l in
+  Array.iteri (fun i l -> succs.(i) <- sort l) succs;
+  Array.iteri (fun i l -> preds.(i) <- sort l) preds;
   let topo = kahn_topo nv succs preds in
   { n = nv; succs; preds; edge_count = !count; topo }
 

@@ -25,8 +25,6 @@ let create n =
     adj_arr = None;
   }
 
-let vertex_count t = t.n
-
 let ensure_capacity t needed =
   let len = Array.length t.dst in
   if needed > len then begin

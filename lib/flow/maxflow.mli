@@ -18,8 +18,6 @@ type edge
 val create : int -> t
 (** [create n] is an empty network on vertices [0..n-1]. *)
 
-val vertex_count : t -> int
-
 val add_edge : t -> src:int -> dst:int -> cap:int -> edge
 (** Adds a directed edge with the given non-negative capacity and returns its
     identifier. Parallel edges and self-loops are permitted (a self-loop

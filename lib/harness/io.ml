@@ -26,34 +26,6 @@ let to_string inst =
   emit (Buffer.add_string buf) inst;
   Buffer.contents buf
 
-(* MD5 over a framed binary image of the instance: n, m, the edge count
-   and the edges in [Dag.edges] order as 64-bit little-endian integers,
-   then the IEEE bits of every [p_ij] in machine-major order. *)
-let digest inst =
-  let n = Instance.n inst and m = Instance.m inst in
-  let edges = Dag.edges (Instance.dag inst) in
-  let ecount = List.length edges in
-  let image = Bytes.create (8 * (3 + (2 * ecount) + (n * m))) in
-  let at = ref 0 in
-  let put w =
-    Bytes.set_int64_le image !at w;
-    at := !at + 8
-  in
-  put (Int64.of_int n);
-  put (Int64.of_int m);
-  put (Int64.of_int ecount);
-  List.iter
-    (fun (u, v) ->
-      put (Int64.of_int u);
-      put (Int64.of_int v))
-    edges;
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      put (Int64.bits_of_float (Instance.prob inst ~machine:i ~job:j))
-    done
-  done;
-  Digest.to_hex (Digest.bytes image)
-
 (* One cursor over the text for both file formats. A token is a maximal
    run of bytes other than ' ', '\t', '\n' and '#'; '#' starts a comment
    that runs to the end of its line. After [next] returns [true] the

@@ -41,16 +41,6 @@ val float_of_token : string -> float option
     over a 128-bit power-of-ten table); everything else, and every case
     those cannot decide, goes to [float_of_string_opt]. *)
 
-val digest : Suu_core.Instance.t -> string
-(** Hex MD5 of a framed binary image of the instance: [n], [m], the edge
-    count and the edges in {!Suu_dag.Dag.edges} order as 64-bit
-    little-endian integers, then [Int64.bits_of_float] of every [p_ij]
-    in machine-major order. Two instances share a digest iff they have
-    the same shape, the same edge set and bit-identical probabilities,
-    however their text was spelled ([0.5], [5e-1] and [0.50] agree) and
-    however they were built. Used by the serving layer ({!Suu_service})
-    as the instance part of result-cache keys. *)
-
 (** {1 Oblivious schedule files}
 
     Computed plans can be exported and replayed later (the whole point of

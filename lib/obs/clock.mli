@@ -10,6 +10,3 @@ external now_ns : unit -> float = "suu_obs_clock_now_ns"
 
 val now_ms : unit -> float
 (** [now_ns] scaled to milliseconds. *)
-
-val now_us : unit -> float
-(** [now_ns] scaled to microseconds (the unit of Chrome trace events). *)

@@ -89,7 +89,3 @@ let r_squared pts (slope, intercept) =
       ss_tot := !ss_tot +. ((y -. my) *. (y -. my)))
     pts;
   if !ss_tot = 0. then 1. else 1. -. (!ss_res /. !ss_tot)
-
-let mean_ci xs =
-  let s = summarize xs in
-  (s.mean, s.ci95)

@@ -41,6 +41,3 @@ val linear_fit : (float * float) array -> float * float
 val r_squared : (float * float) array -> float * float -> float
 (** [r_squared pts (slope, intercept)] is the coefficient of determination
     of the given line on the points. *)
-
-val mean_ci : float array -> float * float
-(** [mean_ci xs] is [(mean, ci95)] — convenience accessor. *)

@@ -2,8 +2,8 @@
 
     Repeated solves of the same instance dominate real serving workloads
     (the same DAG is re-submitted with the same parameters), so the
-    service memoises finished answers keyed by a content digest of
-    [(instance, algorithm, trials, seed)] — see {!Request.cache_key}. The
+    service memoises finished answers keyed by a digest of
+    [(instance text, algorithm, trials, seed)] — see {!Request.cache_key}. The
     cache here is generic: string keys, any value type.
 
     Eviction is least-recently-used: a hit refreshes the entry's

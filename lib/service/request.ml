@@ -11,7 +11,7 @@ let algo_name = function
   | `Improved -> "improved"
   | `Fixed -> "fixed"
 
-type op =
+type ('instance, 'plan) request_op =
   | Solve of {
       algo : algo;
       trials : int;
@@ -20,23 +20,27 @@ type op =
       ci_target : float option;
       releases : int array option;
       churn : Churn.params option;
-      instance : Instance.t;
+      instance : 'instance;
+      digest : string Lazy.t;
     }
   | Estimate of {
-      plan : Suu_core.Oblivious.t;
-      plan_digest : string;
+      plan : 'plan;
+      plan_digest : string Lazy.t;
       trials : int;
       seed : int;
       range : (int * int) option;
       ci_target : float option;
       releases : int array option;
       churn : Churn.params option;
-      instance : Instance.t;
+      instance : 'instance;
+      digest : string Lazy.t;
     }
-  | Info of Instance.t
-  | Exact of Instance.t
+  | Info of 'instance
+  | Exact of { instance : 'instance; digest : string Lazy.t }
   | Ping
   | Stats of { format : [ `Json | `Prom | `Raw ] }
+
+type op = (Instance.t, Suu_core.Oblivious.t) request_op
 
 type t = { id : string option; deadline_ms : float option; op : op }
 
@@ -74,11 +78,9 @@ let text_field json name =
   | Some _ -> fail "%s: expected a string" name
   | None -> fail "%s: missing" name
 
-let text_digest text = Digest.to_hex (Digest.string text)
-
-let instance_field json =
-  let text = text_field json "instance" in
-  try Io.of_string text with Failure msg -> fail "instance: %s" msg
+(* The MD5 of a raw wire text, the instance (and plan) part of every
+   key. Forced at most once per request, and only by a key. *)
+let text_digest text = lazy (Digest.to_hex (Digest.string text))
 
 let trials_field json ~default =
   let trials = int_field json "trials" ~default in
@@ -102,9 +104,8 @@ let ci_target_field json ~default =
       | None -> fail "ci_target: expected a number")
 
 (* ["releases":[r0,...]] makes the request an online one: job [j] only
-   becomes eligible at step [releases.(j)]. Validated here — length
-   against the instance, entries non-negative — so a hostile vector is
-   a structured request error, not a worker-side exception. *)
+   becomes eligible at step [releases.(j)]. The entries are checked
+   here, the length against the parsed instance ([check_releases]). *)
 let release_steps json =
   match Json.member "releases" json with
   | None -> None
@@ -119,16 +120,6 @@ let release_steps json =
                 | None -> fail "releases: expected a list of integers")
               items))
   | Some _ -> fail "releases: expected a list of integers"
-
-let releases_field json ~n =
-  let r = release_steps json in
-  Option.iter
-    (fun r ->
-      if Array.length r <> n then
-        fail "releases: %d entries but instance has %d jobs" (Array.length r)
-          n)
-    r;
-  r
 
 (* ["churn":"seed=S,rate=R,repair=K,perm=Q,steps=N"] asks for a churned
    environment: the worker regenerates the deterministic machine up/down
@@ -187,67 +178,124 @@ let deadline_field json =
       | Some _ -> fail "deadline_ms: must be >= 0"
       | None -> fail "deadline_ms: expected a number")
 
-let of_json ~default_trials ~default_seed ?default_ci_target json =
-  let id = id_of json in
-  match
-    let op =
-      match op_field json with
-      | "solve" ->
-          let algo = algo_field json in
-          let trials = trials_field json ~default:default_trials in
-          let instance = instance_field json in
+(* The one field walk behind [of_json] and [route_line]. It reads every
+   envelope field in one order (op, algo, trials, seed, range,
+   ci_target, the releases format, churn, deadline) and then checks
+   that the instance and plan texts are present, leaving them unparsed.
+   Raises [Bad] on the first failure. The texts are only read after the
+   deadline, so any envelope fault wins over a missing text. *)
+let walk ~default_trials ~default_seed ?default_ci_target json =
+  let monte_carlo_fields () =
+    let trials = trials_field json ~default:default_trials in
+    let seed = int_field json "seed" ~default:default_seed in
+    let range = range_field json ~trials in
+    let ci_target = ci_target_field json ~default:default_ci_target in
+    let releases = release_steps json in
+    let churn = churn_field json in
+    (trials, seed, range, ci_target, releases, churn)
+  in
+  let texts =
+    match op_field json with
+    | "solve" ->
+        let algo = algo_field json in
+        let trials, seed, range, ci_target, releases, churn =
+          monte_carlo_fields ()
+        in
+        fun () ->
+          let instance = text_field json "instance" in
           Solve
             {
               algo;
               trials;
-              seed = int_field json "seed" ~default:default_seed;
-              range = range_field json ~trials;
-              ci_target = ci_target_field json ~default:default_ci_target;
-              releases = releases_field json ~n:(Instance.n instance);
-              churn = churn_field json;
+              seed;
+              range;
+              ci_target;
+              releases;
+              churn;
               instance;
+              digest = text_digest instance;
             }
-      | "estimate" ->
-          let plan_text = text_field json "plan" in
-          let plan =
-            try Io.schedule_of_string plan_text
-            with Failure msg -> fail "plan: %s" msg
-          in
-          let instance = instance_field json in
-          if plan.Suu_core.Oblivious.m <> Instance.m instance then
-            fail "plan: %d machines but instance has %d"
-              plan.Suu_core.Oblivious.m (Instance.m instance);
-          let trials = trials_field json ~default:default_trials in
+    | "estimate" ->
+        let trials, seed, range, ci_target, releases, churn =
+          monte_carlo_fields ()
+        in
+        fun () ->
+          let plan = text_field json "plan" in
+          let instance = text_field json "instance" in
           Estimate
             {
               plan;
-              plan_digest = text_digest plan_text;
+              plan_digest = text_digest plan;
               trials;
-              seed = int_field json "seed" ~default:default_seed;
-              range = range_field json ~trials;
-              ci_target = ci_target_field json ~default:default_ci_target;
-              releases = releases_field json ~n:(Instance.n instance);
-              churn = churn_field json;
+              seed;
+              range;
+              ci_target;
+              releases;
+              churn;
               instance;
+              digest = text_digest instance;
             }
-      | "info" -> Info (instance_field json)
-      | "exact" -> Exact (instance_field json)
-      | "ping" -> Ping
-      | "stats" ->
-          let format =
-            match Json.member "format" json with
-            | None | Some (Json.Str "json") -> `Json
-            | Some (Json.Str "prom") -> `Prom
-            | Some (Json.Str "raw") -> `Raw
-            | Some (Json.Str other) -> fail "format: unknown format %S" other
-            | Some _ -> fail "format: expected a string"
-          in
-          Stats { format }
-      | other -> fail "op: unknown operation %S" other
-    in
-    { id; deadline_ms = deadline_field json; op }
-  with
-  | req -> Ok req
+    | "info" -> fun () -> Info (text_field json "instance")
+    | "exact" ->
+        fun () ->
+          let instance = text_field json "instance" in
+          Exact { instance; digest = text_digest instance }
+    | "ping" -> fun () -> Ping
+    | "stats" ->
+        let format =
+          match Json.member "format" json with
+          | None | Some (Json.Str "json") -> `Json
+          | Some (Json.Str "prom") -> `Prom
+          | Some (Json.Str "raw") -> `Raw
+          | Some (Json.Str other) -> fail "format: unknown format %S" other
+          | Some _ -> fail "format: expected a string"
+        in
+        fun () -> Stats { format }
+    | other -> fail "op: unknown operation %S" other
+  in
+  let deadline_ms = deadline_field json in
+  (deadline_ms, texts ())
+
+let parse_instance text =
+  try Io.of_string text with Failure msg -> fail "instance: %s" msg
+
+(* Validated here, against the parsed instance, so a hostile vector is
+   a structured request error rather than a worker-side exception. *)
+let check_releases releases instance =
+  Option.iter
+    (fun r ->
+      let n = Instance.n instance in
+      if Array.length r <> n then
+        fail "releases: %d entries but instance has %d jobs" (Array.length r)
+          n)
+    releases
+
+(* The checks that need the texts parsed: the plan, the instance, the
+   plan's machine count and the releases length, in that order. *)
+let parse : (string, string) request_op -> op = function
+  | Solve r ->
+      let instance = parse_instance r.instance in
+      check_releases r.releases instance;
+      Solve { r with instance }
+  | Estimate r ->
+      let plan =
+        try Io.schedule_of_string r.plan
+        with Failure msg -> fail "plan: %s" msg
+      in
+      let instance = parse_instance r.instance in
+      if plan.Suu_core.Oblivious.m <> Instance.m instance then
+        fail "plan: %d machines but instance has %d" plan.Suu_core.Oblivious.m
+          (Instance.m instance);
+      check_releases r.releases instance;
+      Estimate { r with plan; instance }
+  | Info text -> Info (parse_instance text)
+  | Exact r -> Exact { r with instance = parse_instance r.instance }
+  | Ping -> Ping
+  | Stats { format } -> Stats { format }
+
+let guarded id f =
+  match f () with
+  | v -> Ok v
   | exception Bad msg -> Error (msg, id)
   (* Last line of defence: a decoder bug (or a field validation gap)
      must yield a structured error, never kill the reader loop — but
@@ -255,6 +303,14 @@ let of_json ~default_trials ~default_seed ?default_ci_target json =
      them would hide a dying process. *)
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception e -> Error ("parse: unexpected: " ^ Printexc.to_string e, id)
+
+let of_json ~default_trials ~default_seed ?default_ci_target json =
+  let id = id_of json in
+  guarded id (fun () ->
+      let deadline_ms, op =
+        walk ~default_trials ~default_seed ?default_ci_target json
+      in
+      { id; deadline_ms; op = parse op })
 
 let of_line ~default_trials ~default_seed ?default_ci_target line =
   match Json.of_string line with
@@ -300,31 +356,19 @@ let cacheable req =
   | Solve _ | Estimate _ | Exact _ -> true
   | Info _ | Ping | Stats _ -> false
 
-(* The key layouts, given the instance's (and plan's) digest: the
-   service keys on the parsed instance, the coordinator's route on the
-   raw text. *)
-let solve_key ~digest ~algo ~trials ~seed ~range ~ci_target ~releases ~churn =
-  (* Key on the algorithm actually executed, so "auto" and "adaptive"
-     requests share one cache entry. A range request keys on its range
-     too: a partial answer must never alias the full one. *)
-  Printf.sprintf "solve:%s:%s:%d:%d%s%s%s%s" digest
-    (algo_name (canonical_algo algo))
-    trials seed (range_suffix range) (ci_suffix ci_target)
-    (releases_suffix releases) (churn_suffix churn)
-
-let estimate_key ~digest ~plan_digest ~trials ~seed ~range ~ci_target
-    ~releases ~churn =
-  Printf.sprintf "estimate:%s:%s:%d:%d%s%s%s%s" digest plan_digest trials seed
-    (range_suffix range) (ci_suffix ci_target) (releases_suffix releases)
-    (churn_suffix churn)
-
-let cache_key req =
-  match req.op with
-  | Solve { algo; trials; seed; range; ci_target; releases; churn; instance }
+(* One key for raw and parsed requests alike, so the coordinator's route
+   key and a shard's result key are the same string. *)
+let key_of = function
+  | Solve { algo; trials; seed; range; ci_target; releases; churn; digest; _ }
     ->
+      (* Key on the algorithm actually executed, so "auto" and "adaptive"
+         requests share one cache entry. A range request keys on its
+         range too: a partial answer must never alias the full one. *)
       Some
-        (solve_key ~digest:(Io.digest instance) ~algo ~trials ~seed ~range
-           ~ci_target ~releases ~churn)
+        (Printf.sprintf "solve:%s:%s:%d:%d%s%s%s%s" (Lazy.force digest)
+           (algo_name (canonical_algo algo))
+           trials seed (range_suffix range) (ci_suffix ci_target)
+           (releases_suffix releases) (churn_suffix churn))
   | Estimate
       {
         plan_digest;
@@ -334,14 +378,18 @@ let cache_key req =
         ci_target;
         releases;
         churn;
-        instance;
+        digest;
         _;
       } ->
       Some
-        (estimate_key ~digest:(Io.digest instance) ~plan_digest ~trials ~seed
-           ~range ~ci_target ~releases ~churn)
-  | Exact instance -> Some (Printf.sprintf "exact:%s" (Io.digest instance))
+        (Printf.sprintf "estimate:%s:%s:%d:%d%s%s%s%s" (Lazy.force digest)
+           (Lazy.force plan_digest) trials seed (range_suffix range)
+           (ci_suffix ci_target) (releases_suffix releases)
+           (churn_suffix churn))
+  | Exact { digest; _ } -> Some ("exact:" ^ Lazy.force digest)
   | Info _ | Ping | Stats _ -> None
+
+let cache_key req = key_of req.op
 
 (* --- routing without the instance parse --- *)
 
@@ -349,56 +397,19 @@ type route =
   | Forward of { id : string option; key : string option }
   | Decoded of (t, string * string option) result
 
-(* Every field [of_json] checks, except the instance and plan texts and
-   the checks that need them parsed (the releases length, the plan's
-   machine count). Raises [Bad] on any failure and for the ops a
-   coordinator answers itself. *)
-let forward_key ~default_trials ~default_seed ?default_ci_target json =
-  let mc_fields () =
-    let trials = trials_field json ~default:default_trials in
-    let seed = int_field json "seed" ~default:default_seed in
-    let range = range_field json ~trials in
-    let ci_target = ci_target_field json ~default:default_ci_target in
-    let releases = release_steps json in
-    let churn = churn_field json in
-    (trials, seed, range, ci_target, releases, churn)
-  in
-  let key =
-    match op_field json with
-    | "solve" ->
-        let algo = algo_field json in
-        let trials, seed, range, ci_target, releases, churn = mc_fields () in
-        Some
-          (solve_key
-             ~digest:(text_digest (text_field json "instance"))
-             ~algo ~trials ~seed ~range ~ci_target ~releases ~churn)
-    | "estimate" ->
-        let plan_digest = text_digest (text_field json "plan") in
-        let trials, seed, range, ci_target, releases, churn = mc_fields () in
-        Some
-          (estimate_key
-             ~digest:(text_digest (text_field json "instance"))
-             ~plan_digest ~trials ~seed ~range ~ci_target ~releases ~churn)
-    | "exact" -> Some ("exact:" ^ text_digest (text_field json "instance"))
-    | "info" ->
-        ignore (text_field json "instance");
-        None
-    | _ -> raise (Bad "not forwarded")
-  in
-  ignore (deadline_field json);
-  key
-
 let route_line ~default_trials ~default_seed ?default_ci_target line =
   match Json.of_string line with
   | Error msg -> Decoded (Error ("parse: " ^ msg, None))
   | Ok json -> (
+      let id = id_of json in
       match
-        forward_key ~default_trials ~default_seed ?default_ci_target json
+        guarded id (fun () ->
+            walk ~default_trials ~default_seed ?default_ci_target json)
       with
-      | key -> Forward { id = id_of json; key }
-      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-      | exception _ ->
-          Decoded (of_json ~default_trials ~default_seed ?default_ci_target json))
+      | Error e -> Decoded (Error e)
+      | Ok (deadline_ms, ((Ping | Stats _) as op)) ->
+          Decoded (Ok { id; deadline_ms; op = parse op })
+      | Ok (_, op) -> Forward { id; key = key_of op })
 
 (* --- re-encoding (range request lines) --- *)
 

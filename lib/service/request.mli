@@ -64,7 +64,10 @@ val canonical_algo :
     "auto" exactly once and every range executes identically on any
     worker. *)
 
-type op =
+(** An op over its instance and plan payloads: raw wire text inside the
+    decoder, parsed values in {!op}. Each digest is forced by a key at
+    most once, and never when no key is asked for. *)
+type ('instance, 'plan) request_op =
   | Solve of {
       algo : algo;
       trials : int;
@@ -74,13 +77,14 @@ type op =
       releases : int array option;  (** per-job release steps, if any *)
       churn : Suu_dyn.Churn.params option;
           (** machine-churn timeline spec, if any *)
-      instance : Suu_core.Instance.t;
+      instance : 'instance;
+      digest : string Lazy.t;  (** hex MD5 of the raw instance text *)
     }
       (** Build a schedule ({!Suu_algo.Solver}) and estimate its expected
           makespan. *)
   | Estimate of {
-      plan : Suu_core.Oblivious.t;
-      plan_digest : string;  (** content digest of the plan text *)
+      plan : 'plan;
+      plan_digest : string Lazy.t;  (** hex MD5 of the raw plan text *)
       trials : int;
       seed : int;
       range : (int * int) option;  (** trial range to run, if any *)
@@ -88,11 +92,12 @@ type op =
       releases : int array option;  (** per-job release steps, if any *)
       churn : Suu_dyn.Churn.params option;
           (** machine-churn timeline spec, if any *)
-      instance : Suu_core.Instance.t;
+      instance : 'instance;
+      digest : string Lazy.t;  (** hex MD5 of the raw instance text *)
     }  (** Estimate the expected makespan of a client-supplied plan. *)
-  | Info of Suu_core.Instance.t
+  | Info of 'instance
       (** Classification, DAG statistics and (LP-free) lower bounds. *)
-  | Exact of Suu_core.Instance.t
+  | Exact of { instance : 'instance; digest : string Lazy.t }
       (** Optimal expected makespan by Malewicz's DP (small instances). *)
   | Ping
       (** Liveness probe: answers [{"status":"ok","pong":true}]
@@ -109,6 +114,8 @@ type op =
           (["latency_hist"]) and the engine counters (["engine"]) — which
           is what the coordinator pulls from each shard to build one
           merged exposition. *)
+
+type op = (Suu_core.Instance.t, Suu_core.Oblivious.t) request_op
 
 type t = { id : string option; deadline_ms : float option; op : op }
 
@@ -131,7 +138,11 @@ val of_line :
     ["range"] must satisfy [0 <= lo < hi <= trials] with word-aligned
     ends (above) and an explicit
     ["ci_target"] must be positive. Lines with duplicate JSON keys are
-    rejected at the parser ({!Json.of_string}). *)
+    rejected at the parser ({!Json.of_string}). The first failure in
+    this order answers: op, algo, trials, seed, range, ci_target, the
+    releases entries, churn, deadline_ms, the presence of plan and
+    instance, the plan and instance parses, the plan width and the
+    releases length. An envelope error wins over a bad text. *)
 
 val of_json :
   default_trials:int ->
@@ -142,21 +153,17 @@ val of_json :
 (** {!of_line} after the JSON decode: [of_line] is {!Json.of_string}
     (a failure answers ["parse: …"] with no id) followed by this. *)
 
-(** How a routing coordinator treats one line, decided without parsing
-    any instance or plan text. *)
+(** How a routing coordinator treats one line, decided by {!of_line}'s
+    field walk without parsing any instance or plan text. *)
 type route =
   | Forward of { id : string option; key : string option }
-      (** Send the line on unparsed. [key] is built from the MD5 of the
-          raw ["instance"] string (and, for [estimate], the raw
-          ["plan"] string) plus every other field {!cache_key} covers;
-          [None] for [info], which has no key. Every other field has
-          been validated, so the worker's {!of_line} either accepts the
-          line or rejects it on the instance or plan text, with the
-          very bytes a coordinator-side decode would have produced. *)
+      (** Send the line on unparsed. [key] is the string {!cache_key}
+          gives the decoded request. The worker's {!of_line} either
+          accepts the line or rejects it on the instance or plan text
+          or the releases length. *)
   | Decoded of (t, string * string option) result
-      (** Exactly {!of_line}'s result: for [ping], [stats], unknown
-          ops and every line whose envelope fails a check, so the
-          error that wins is the one a single service reports. *)
+      (** Exactly {!of_line}'s result: [ping] and [stats] lines, unknown
+          ops and every envelope error. *)
 
 val route_line :
   default_trials:int ->
@@ -164,25 +171,23 @@ val route_line :
   ?default_ci_target:float ->
   string ->
   route
-(** Decode the line's JSON once and classify it. Two spellings of one
-    instance text get different keys; that costs cache affinity, never
-    answer bytes. *)
+(** Decode the line's JSON once and classify it. *)
 
 val cacheable : t -> bool
 (** Whether {!cache_key} is [Some _]: [solve], [estimate] and [exact]
     answers can be cached; computing this costs no digest. *)
 
 val cache_key : t -> string option
-(** Result-cache key: a content digest of the request's semantics —
-    [(instance digest, op, algorithm, trials, seed)] plus the trial
-    range when one is present (a partial answer must never alias the
-    full one) and the [ci_target] when one is set (an early-stopped
-    answer must never alias an exhaustive one) — for [solve], [estimate]
-    and [exact]; [None] for the
+(** Result-cache key: [(raw instance text digest, op, algorithm, trials,
+    seed)] plus the trial range when one is present (a partial answer
+    must never alias the full one) and the [ci_target] when one is set
+    (an early-stopped answer must never alias an exhaustive one) — for
+    [solve], [estimate] and [exact]; [None] for the
     uncacheable ops ([info] is cheap, [ping] and [stats] are
     time-varying). Requests with equal keys are guaranteed identical
     answers by the word-seeded contract
-    ({!Suu_sim.Engine.estimate_makespan_seeded}). *)
+    ({!Suu_sim.Engine.estimate_makespan_seeded}); two spellings of one
+    instance get two keys. *)
 
 val sub_line : t -> lo:int -> hi:int -> string
 (** Client-side helper for the ["range"] protocol: re-encode a

@@ -276,7 +276,7 @@ let info_fields instance =
    at most ~10 KB each at n=64, m=16. *)
 let policy_cache_capacity = 32
 
-let build_policy ~policies ~kind instance =
+let build_policy ~policies ~kind ~digest instance =
   let build () =
     try Suu_algo.Solver.solve ~kind instance with
     | Suu_algo.Solver.Unsupported msg -> failed "unsupported: %s" msg
@@ -289,10 +289,11 @@ let build_policy ~policies ~kind instance =
   | `Oblivious -> (
       (* The one LP-backed kind: solving (LP1)/(LP2) makes its build
          10-40x a 200-trial estimate at n=64, m=16. The other kinds
-         build in about the time a digest and its key's garbage would
-         cost them. Failures raise before [add], so they are never
-         cached. *)
-      let key = Suu_harness.Io.digest instance ^ "/oblivious" in
+         build in at most 0.4 ms and are not cached, so they never evict
+         an LP build. The key is the request's own instance digest,
+         shared with its result-cache key. Failures raise before [add],
+         so they are never cached. *)
+      let key = Lazy.force digest ^ "/oblivious" in
       match Cache.find policies key with
       | Some policy -> policy
       | None ->
@@ -304,13 +305,23 @@ let build_policy ~policies ~kind instance =
 let execute op ~policies ~domains ~stop ~on_word =
   match op with
   | Request.Solve
-      { algo; trials; seed; range; ci_target; releases; churn; instance } ->
+      {
+        algo;
+        trials;
+        seed;
+        range;
+        ci_target;
+        releases;
+        churn;
+        instance;
+        digest;
+      } ->
       (* [auto] is the practical default (the adaptive greedy policy);
          the paper's guaranteed oblivious column is an explicit opt-in.
          [canonical_algo] is also what the cache key is built from, so a
          key can never alias two different computations. *)
       let kind = Request.canonical_algo algo in
-      let policy = build_policy ~policies ~kind instance in
+      let policy = build_policy ~policies ~kind ~digest instance in
       estimate_fields ~domains ~policy ~trials ~seed ~range ~ci_target
         ~releases ~churn ~stop ~on_word instance
   | Request.Estimate
@@ -322,7 +333,7 @@ let execute op ~policies ~domains ~stop ~on_word =
         instance
   | Request.Ping -> [ ("pong", Json.Bool true) ]
   | Request.Info instance -> info_fields instance
-  | Request.Exact instance -> (
+  | Request.Exact { instance; _ } -> (
       match Suu_algo.Malewicz.optimal instance with
       | r ->
           [
@@ -495,10 +506,10 @@ let handle_job cfg ~metrics ~cache ~policies ~queue ~em job =
         in
         Trace.with_span cfg.tracer ~cat:"service" ~attrs:span_attrs "request"
         @@ fun () ->
-        (* A zero-capacity cache stores nothing, so its key — an
-           [Io.digest] hash over every probability of the instance — is
-           never computed: the lookup still counts its miss and the
-           answer still carries "cached":false. *)
+        (* A zero-capacity cache stores nothing, so its key — an MD5
+           over the whole instance text — is never computed: the lookup
+           still counts its miss and the answer still carries
+           "cached":false. *)
         let key =
           if Cache.capacity cache > 0 then Request.cache_key req
           else if Request.cacheable req then Some ""

@@ -32,10 +32,10 @@
     {2 Two caches}
 
     The {e result cache} ([cache_capacity] entries, {!Request.cache_key})
-    maps a whole request — instance digest, op, algorithm, trials, seed
-    and the other result-shaping fields — to its answer fields. The
-    {e built-policy cache} (32 entries, always on) maps
-    [(]{!Suu_harness.Io.digest}[ instance, canonical algorithm)] to the
+    maps a whole request — raw instance text digest, op, algorithm,
+    trials, seed and the other result-shaping fields — to its answer
+    fields. The {e built-policy cache} (32 entries, always on) maps
+    that digest and the canonical algorithm to the
     policy an [oblivious] solve builds, the one kind that solves an LP
     (6–26 ms at n=64, m=16 on a 2-vCPU x86-64 host). A resubmitted
     instance with a new seed or trial count misses the first and hits

@@ -498,23 +498,20 @@ let admit t seq line =
       | Request.Decoded (Error (msg, id)) ->
           Metrics.record_error t.metrics;
           Emitter.emit t.em seq (Request.error ~id msg)
-      | Request.Decoded (Ok req) -> (
-          match req.Request.op with
-          | Request.Ping ->
-              (* Answered at the coordinator: a pong vouches for the
-                 routing layer; shard liveness is the heartbeat's job. *)
-              Metrics.record_ok t.metrics ~latency_ms:0.;
-              Emitter.emit t.em seq
-                (Request.ok ~id:req.Request.id
-                   [
-                     ("pong", Json.Bool true);
-                     ("shards", Json.int t.cfg.shards);
-                     ("shards_live", Json.int (List.length (live_indices t)));
-                   ])
-          | Request.Stats { format } -> admit_stats t seq req format
-          | _ ->
-              admit_forward t seq ~id:req.Request.id
-                ~key:(Request.cache_key req) line))
+      | Request.Decoded (Ok ({ op = Request.Stats { format }; _ } as req)) ->
+          admit_stats t seq req format
+      | Request.Decoded (Ok req) ->
+          (* The only other op [route_line] decodes is [ping], answered
+             here: a pong vouches for the routing layer; shard liveness
+             is the heartbeat's job. *)
+          Metrics.record_ok t.metrics ~latency_ms:0.;
+          Emitter.emit t.em seq
+            (Request.ok ~id:req.Request.id
+               [
+                 ("pong", Json.Bool true);
+                 ("shards", Json.int t.cfg.shards);
+                 ("shards_live", Json.int (List.length (live_indices t)));
+               ]))
 
 (* --- supervision ------------------------------------------------------ *)
 

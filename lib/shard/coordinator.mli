@@ -5,10 +5,9 @@
 
     {2 Routing}
 
-    Whole requests are routed by consistent hashing on a key built from
-    the line's raw bytes ({!Suu_service.Request.route_line}): the MD5 of
-    the ["instance"] string (and of the ["plan"] string for [estimate])
-    plus every other field the cache key covers. The coordinator decodes
+    Whole requests are routed by consistent hashing on the shards' own
+    cache key, built from the line's raw bytes
+    ({!Suu_service.Request.route_line}). The coordinator decodes
     each line's JSON once and never parses an instance it forwards;
     the shard that answers does. Equal keys always reach the same shard,
     so each shard's LRU cache stays hot on its slice of the keyspace and
@@ -18,9 +17,9 @@
     land on different shards: that costs cache affinity only, never
     answer bytes. Keyless ops (info) round-robin over the live set.
 
-    A line whose envelope fails any check is decoded in full, as a
-    single service would, and answered at the coordinator — so the error
-    that wins is the service's. A line whose only fault is its instance
+    A line whose envelope fails any check is answered at the
+    coordinator, with a single service's error: both run one field walk.
+    A line whose only fault is its instance
     or plan text is forwarded, and the shard's own decode answers it
     with the same bytes. Blank and whitespace-only lines are skipped
     unanswered, as the service skips them.
@@ -32,9 +31,9 @@
     Every request travels whole: the coordinator forwards the client's
     line verbatim and passes the shard's answer back unchanged, so the
     response stream is {e byte-identical} to a single
-    {!Suu_service.Service} over the same lines, up to the ["cached"]
-    flag (each shard's LRU holds only its slice of the keyspace, and a
-    respawned shard restarts cold) — certified by the [shard-heal]
+    {!Suu_service.Service} over the same lines, the ["cached"] flag too
+    until an LRU evicts (each shard holds only its slice of the
+    keyspace) or a shard respawns cold — certified by the [shard-heal]
     conformance property and the shard test suite. A line carrying a
     ["range":[lo,hi]] is forwarded like any other and answered with the
     shard's partial response; fanning one estimate out over ranges is

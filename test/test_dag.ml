@@ -138,6 +138,48 @@ let prop_topo_valid =
   QCheck.Test.make ~name:"topo_order respects edges" ~count:200 arbitrary_dag
     (fun g -> is_topo_order g (Dag.topo_order g))
 
+(* [random_dag] only has edges u < v, where smallest-first is the identity;
+   relabel through a seeded permutation so the order is not trivial. *)
+let relabelled_dag_gen =
+  QCheck.Gen.(
+    pair random_dag_gen int
+    |> map (fun (g, seed) ->
+           let n = Dag.n g in
+           let perm = Array.init n Fun.id in
+           let rng = Rng.create seed in
+           for i = n - 1 downto 1 do
+             let j = Rng.int rng (i + 1) in
+             let t = perm.(i) in
+             perm.(i) <- perm.(j);
+             perm.(j) <- t
+           done;
+           Dag.create ~n
+             (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Dag.edges g))))
+
+(* Reference: repeatedly place the smallest vertex whose predecessors are
+   all placed. *)
+let smallest_first_topo g =
+  let n = Dag.n g in
+  let placed = Array.make n false in
+  Array.init n (fun _ ->
+      let rec first v =
+        if
+          (not placed.(v))
+          && List.for_all (fun u -> placed.(u)) (Dag.preds g v)
+        then v
+        else first (v + 1)
+      in
+      let v = first 0 in
+      placed.(v) <- true;
+      v)
+
+let prop_topo_smallest_first =
+  QCheck.Test.make ~name:"topo_order is smallest-first Kahn" ~count:200
+    (QCheck.make
+       ~print:(fun g -> Format.asprintf "%a" Dag.pp g)
+       relabelled_dag_gen)
+    (fun g -> Dag.topo_order g = smallest_first_topo g)
+
 let prop_width_antichain =
   QCheck.Test.make ~name:"width >= 1 and <= n" ~count:200 arbitrary_dag
     (fun g ->
@@ -213,5 +255,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_longest_path_vs_width;
           QCheck_alcotest.to_alcotest prop_edges_roundtrip;
           QCheck_alcotest.to_alcotest prop_reachable_transitive;
+          QCheck_alcotest.to_alcotest prop_topo_smallest_first;
         ] );
     ]

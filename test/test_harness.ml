@@ -294,7 +294,7 @@ let agree ~what ~same parse oracle input =
 
 let agree_instance =
   agree ~what:"instance"
-    ~same:(fun a b -> Io.digest a = Io.digest b && instances_equal a b)
+    ~same:instances_equal
     Io.of_string Oracle.instance_of_string
 
 (* The four families a served benchmark request carries, at its size. *)
@@ -526,40 +526,6 @@ let test_pow10_table () =
     then Alcotest.failf "1e%d: row is not floor (10^e * 2^%d)" e k
   done
 
-(* Fixed instance: 3 jobs, 2 machines, a 0 -> 1 -> 2 chain. Its pin is
-   the MD5 of the 8-byte little-endian words 3, 2, 2, 0, 1, 1, 2 and
-   then the bits of 0.5, 0.25, 1, 0.125, 0, 0.75. *)
-let pinned_instance () =
-  Instance.create
-    ~p:[| [| 0.5; 0.25; 1. |]; [| 0.125; 0.; 0.75 |] |]
-    ~dag:(Suu_dag.Dag.create ~n:3 [ (1, 2); (0, 1) ])
-
-let test_digest_golden () =
-  Alcotest.(check string) "golden" "2d7503fe666015a9b967e6f6c807bb9f" (Io.digest (pinned_instance ()))
-
-let test_digest_spellings () =
-  let text p = Printf.sprintf "suu 1\nn 2 m 1\nedges 0\nprobs\n%s 1\n" p in
-  let d p = Io.digest (Io.of_string (text p)) in
-  Alcotest.(check string) "5e-1" (d "0.5") (d "5e-1");
-  Alcotest.(check string) "0.50" (d "0.5") (d "0.50")
-
-let test_digest_separates () =
-  let inst = pinned_instance () in
-  let ulp =
-    Instance.create
-      ~p:[| [| Float.succ 0.5; 0.25; 1. |]; [| 0.125; 0.; 0.75 |] |]
-      ~dag:(Instance.dag inst)
-  in
-  Alcotest.(check bool) "one ulp" false (Io.digest inst = Io.digest ulp);
-  (* Same six probabilities in the same order, framed as 2x3 and 3x2. *)
-  let flat = [| 0.5; 0.25; 1.; 0.125; 0.375; 0.75 |] in
-  let shaped ~n ~m =
-    Instance.independent
-      ~p:(Array.init m (fun i -> Array.sub flat (i * n) n))
-  in
-  Alcotest.(check bool) "n and m swapped" false
-    (Io.digest (shaped ~n:3 ~m:2) = Io.digest (shaped ~n:2 ~m:3))
-
 let test_experiment_measure () =
   let inst = sample_instance 5 in
   let m =
@@ -720,10 +686,6 @@ let () =
           Alcotest.test_case "float converter = float_of_string_opt" `Quick
             test_float_of_token_exact;
           Alcotest.test_case "power-of-ten table" `Quick test_pow10_table;
-          Alcotest.test_case "digest golden" `Quick test_digest_golden;
-          Alcotest.test_case "digest ignores spelling" `Quick
-            test_digest_spellings;
-          Alcotest.test_case "digest separates" `Quick test_digest_separates;
         ] );
       ( "plans",
         [

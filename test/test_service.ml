@@ -260,7 +260,10 @@ let test_request_hostile_instance () =
    overwrites, inserts, deletes and cuts, a third of them aimed at the
    JSON envelope around the instance text. Every damaged line must
    decode to a value or a structured error, in both the service's and
-   the coordinator's decoder, and never as an unexpected exception. *)
+   the coordinator's decoder, and never as an unexpected exception. The
+   two decoders agree: what the route decodes, [of_line] decodes to the
+   same result; what it forwards, [of_line] accepts under the same key
+   or rejects on the instance, plan or releases text. *)
 let test_request_fuzz_served_lines () =
   let module Rng = Suu_prob.Rng in
   let module W = Suu_workloads.Workload in
@@ -289,22 +292,48 @@ let test_request_fuzz_served_lines () =
       | _ -> String.sub line 0 k
   in
   let unexpected = "parse: unexpected:" in
-  let is_unexpected msg =
-    String.length msg >= String.length unexpected
-    && String.sub msg 0 (String.length unexpected) = unexpected
+  let starts_with prefix msg =
+    String.length msg >= String.length prefix
+    && String.sub msg 0 (String.length prefix) = prefix
   in
   let check line =
     let head = String.sub line 0 (min 160 (String.length line)) in
-    (match Request.of_line ~default_trials:1 ~default_seed:0 line with
-    | Error (msg, _) when is_unexpected msg ->
-        Alcotest.failf "of_line answered %S on %S..." msg head
-    | Ok _ | Error _ -> ()
-    | exception e ->
-        Alcotest.failf "of_line raised %s on %S..." (Printexc.to_string e) head);
+    let decoded =
+      match Request.of_line ~default_trials:1 ~default_seed:0 line with
+      | Error (msg, _) when starts_with unexpected msg ->
+          Alcotest.failf "of_line answered %S on %S..." msg head
+      | r -> r
+      | exception e ->
+          Alcotest.failf "of_line raised %s on %S..." (Printexc.to_string e)
+            head
+    in
+    (* A line that still parses as JSON with a string id keeps that id
+       on every error. *)
+    (match (Json.of_string line, decoded) with
+    | Ok j, Error (msg, got) -> (
+        match Json.member "id" j with
+        | Some (Json.Str want) when got <> Some want ->
+            Alcotest.failf "error %S lost id %S on %S..." msg want head
+        | _ -> ())
+    | _ -> ());
     match Request.route_line ~default_trials:1 ~default_seed:0 line with
-    | Request.Decoded (Error (msg, _)) when is_unexpected msg ->
-        Alcotest.failf "route_line answered %S on %S..." msg head
-    | Request.Decoded _ | Request.Forward _ -> ()
+    | Request.Decoded r ->
+        if r <> decoded then
+          Alcotest.failf "route_line decoded %S... unlike of_line" head
+    | Request.Forward { id; key } -> (
+        (* A forward defers only the text checks to the shard, and
+           routes on the shard's own result key. *)
+        match decoded with
+        | Ok req ->
+            if id <> req.Request.id || key <> Request.cache_key req then
+              Alcotest.failf "forward key of %S... is not its cache key" head
+        | Error (msg, _) ->
+            if
+              not
+                (List.exists
+                   (fun p -> starts_with p msg)
+                   [ "instance:"; "plan:"; "releases:" ])
+            then Alcotest.failf "forwarded %S..., which fails on %S" head msg)
     | exception e ->
         Alcotest.failf "route_line raised %s on %S..." (Printexc.to_string e)
           head
@@ -386,11 +415,12 @@ let test_request_range () =
     ];
   (* A partial answer must never alias the full one in the result
      cache, and distinct ranges must not alias each other. *)
-  let key r =
-    match decode (line r) with
+  let key_of_line l =
+    match decode l with
     | Ok req -> Request.cache_key req
     | Error (msg, _) -> Alcotest.fail msg
   in
+  let key r = key_of_line (line r) in
   let full = key "" and a = key {|,"range":[0,63]|} and b = key {|,"range":[63,126]|} in
   Alcotest.(check bool) "ranged is cacheable" true (a <> None);
   Alcotest.(check bool) "range changes the key" true (full <> a);
@@ -408,9 +438,20 @@ let test_request_range () =
           Alcotest.(check bool) "sub range" true (range = Some (63, 126));
           Alcotest.(check int) "sub trials" 150 trials;
           Alcotest.(check int) "sub seed" 5 seed;
-          Alcotest.(check (option string)) "sub key = ranged key" b
-            (Request.cache_key
-               (Result.get_ok (decode sub)))
+          (* The sub-job carries the instance re-encoded with [%.17g],
+             so its key is the ranged key of that canonical text. *)
+          let canonical =
+            Json.to_string
+              (Json.Str
+                 (Suu_harness.Io.to_string
+                    (Suu_harness.Io.of_string instance_text)))
+          in
+          Alcotest.(check (option string)) "sub key = canonical ranged key"
+            (key_of_line
+               (Printf.sprintf
+                  {|{"op":"solve","id":"r","trials":150,"seed":5,"range":[63,126],"instance":%s}|}
+                  canonical))
+            (Request.cache_key (Result.get_ok (decode sub)))
       | Ok _ -> Alcotest.fail "sub_line decoded to a different op"
       | Error (msg, _) -> Alcotest.fail ("sub_line does not re-decode: " ^ msg))
 
